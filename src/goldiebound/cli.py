@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on validation/domain errors (including usage),
-3 when an enumeration budget is exhausted before the answer is trustworthy.
+Exit codes: 0 on success, 2 on validation/domain errors (including usage and
+a negative bound), 3 when the d(psi) enumeration budget runs out before its
+witnesses meet the orbit certificate; the message states the proven interval.
 The default d(psi) enumeration bound can be set with GOLDIEBOUND_DPSI_BOUND.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import BudgetExceeded, GoldieBoundError, UnsupportedType
 from .lattice import integral_subsystem, schur_class_of
 from .nilorbit import h_and_grading, orbit_datum, validate_partition
 from .pipeline import premet_example, premet_table
-from .repdim import DEFAULT_BOUND, DEFAULT_WINDOW, d_psi, weyl_dim
+from .repdim import DEFAULT_BOUND, d_psi, weyl_dim
 from .serialize import (
     canonical_json,
     dpsi_json,
@@ -68,6 +69,10 @@ _format_option = click.option(
     show_default=True,
     help="Output format.",
 )
+
+# Accepted and ignored, so that older command lines keep working: d_psi no
+# longer takes this parameter.
+_retired_option = click.option("--window", type=int, hidden=True, expose_value=False)
 
 
 def _emit_table(fmt: str, payload, tsv_lines, pretty_lines):
@@ -136,14 +141,14 @@ def _dpsi_command(name: str, doc: str):
     @click.argument("root_system")
     @click.argument("weight")
     @click.option("--bound", type=int, default=None, help="Enumeration level bound.")
-    @click.option("--window", type=int, default=DEFAULT_WINDOW, show_default=True)
+    @_retired_option
     @_format_option
     @_guard
-    def cmd(root_system: str, weight: str, bound, window: int, fmt: str):
+    def cmd(root_system: str, weight: str, bound, fmt: str):
         rs = parse_root_system(root_system)
         w = parse_weight(weight, rs)
         psi = schur_class_of(rs, w)
-        result = d_psi(rs, psi, bound=bound if bound is not None else _default_bound(), window=window)
+        result = d_psi(rs, psi, bound=bound if bound is not None else _default_bound())
         payload = {
             "root_system": rs.describe(),
             "class_rep": weight_json(psi.rep),
@@ -293,14 +298,12 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
 @main.command("premet")
 @click.argument("n", type=int)
 @click.option("--bound", type=int, default=None, help="d(psi) enumeration bound.")
-@click.option("--window", type=int, default=DEFAULT_WINDOW, show_default=True)
+@_retired_option
 @_format_option
 @_guard
-def premet_cmd(n: int, bound, window: int, fmt: str):
+def premet_cmd(n: int, bound, fmt: str):
     """Full worked example for sp_2n, orbit (2,...,2), highest weight rho/2."""
-    report = premet_example(
-        n, bound=bound if bound is not None else _default_bound(), window=window
-    )
+    report = premet_example(n, bound=bound if bound is not None else _default_bound())
     _emit_table(
         fmt,
         report_json(report),

@@ -23,7 +23,7 @@ class NotInWeightLattice(GoldieBoundError):
 
 
 class BudgetExceeded(GoldieBoundError):
-    """Enumeration ended without certifying or stabilizing the invariant."""
+    """An enumeration budget ran out before the invariant was certified."""
 
 
 class ParityViolation(GoldieBoundError):
@@ -48,6 +48,10 @@ class NotEvenOrbit(GoldieBoundError):
 
 class NotDivisible(GoldieBoundError):
     """Expected an exact integer quotient but the division has a remainder."""
+
+
+class InvariantViolation(GoldieBoundError):
+    """An internal consistency check failed on valid input: a library bug."""
 
 
 class PipelineError(GoldieBoundError):

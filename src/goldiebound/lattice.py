@@ -2,21 +2,46 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotInWeightLattice
+from .errors import NotDivisible, NotInWeightLattice
 from .rootsys import (
-    Q,
     Root,
     RootSystem,
     Vec,
     coroot_pairing,
-    vadd,
+    rational_str,
     vdot,
     vsub,
+    weight_str,
     zero_vec,
 )
+
+
+def class_group(family: str, rank: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """P/Q of one simple factor, as the moduli of its cyclic components, and
+    the class of each fundamental weight omega_1..omega_rank (Bourbaki order)."""
+    if family == "A":
+        return (rank + 1,), [(i,) for i in range(1, rank + 1)]
+    if family == "B":
+        return (2,), [(0,)] * (rank - 1) + [(1,)]
+    if family == "C":
+        return (2,), [(i % 2,) for i in range(1, rank + 1)]
+    if rank % 2:  # D_n, n odd: Z/4
+        return (4,), [(2 * (i % 2),) for i in range(1, rank - 1)] + [(3,), (1,)]
+    return (2, 2), [(i % 2, i % 2) for i in range(1, rank - 1)] + [(1, 0), (0, 1)]
+
+
+def class_residue(rs: RootSystem, coeffs: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The class in P/Q of sum c_i omega_i (integer c_i), one tuple per simple factor."""
+    out, start = [], 0
+    for family, rank in rs.factors:
+        moduli, images = class_group(family, rank)
+        part = coeffs[start : start + rank]
+        start += rank
+        sums = [sum(c * g[j] for c, g in zip(part, images)) for j in range(len(moduli))]
+        out.append(tuple(int(total % m) for total, m in zip(sums, moduli)))
+    return tuple(out)
 
 
 def in_weight_lattice(rs: RootSystem, w: Sequence) -> bool:
@@ -25,45 +50,26 @@ def in_weight_lattice(rs: RootSystem, w: Sequence) -> bool:
 
 
 def in_root_lattice(rs: RootSystem, w: Sequence) -> bool:
-    """True when w is an integer combination of roots."""
-    w = rs.canonical(w)
-    for (family, rank, offset, dim) in rs.blocks:
-        part = w[offset : offset + dim]
-        if any(c.denominator != 1 for c in part):
-            return False
-        total = sum(part)
-        if family == "A":
-            if total % (rank + 1) != 0:
-                return False
-        elif family in ("C", "D"):
-            if total % 2 != 0:
-                return False
-        # type B: the simple roots span all of Z^n, nothing more to check
-    return True
+    """True when w lies in the weight lattice with residue 0 in P/Q."""
+    coeffs = rs.fundamental_coefficients(w)
+    return in_weight_lattice(rs, w) and not any(map(any, class_residue(rs, coeffs)))
 
 
 @dataclass(frozen=True)
 class SchurClass:
     """A coset of the root lattice inside the weight lattice.
 
-    ``rep`` is the canonical representative: the dominant member of the coset
-    of least height (pairing with the dual Weyl vector), ties broken by
-    lexicographically smallest coordinates.
+    ``residue`` is the coset in P/Q, as `class_residue` gives it.  ``rep`` is
+    its one dominant member that is minuscule or zero, which is also its
+    dominant member of least height.
     """
 
     root_system: RootSystem
+    residue: tuple[tuple[int, ...], ...]
     rep: Vec
 
     def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.rep)
-
-
-def _rho_check(rs: RootSystem) -> Vec:
-    total = zero_vec(rs.ambient_dim)
-    for r in rs.positive_roots:
-        coroot = tuple(2 * c / vdot(r.coords, r.coords) for c in r.coords)
-        total = vadd(total, coroot)
-    return tuple(c / 2 for c in total)
+        return not any(map(any, self.residue))
 
 
 def _level_tuples(total: int, parts: int):
@@ -76,30 +82,21 @@ def _level_tuples(total: int, parts: int):
 
 
 def schur_class_of(rs: RootSystem, lam: Sequence) -> SchurClass:
-    """The root-lattice coset of lam, with its canonical dominant representative."""
-    lam = rs.canonical(lam)
+    """The root-lattice coset of lam, with its minuscule-or-zero representative."""
     if not in_weight_lattice(rs, lam):
-        raise NotInWeightLattice(f"{lam} is not in the weight lattice of {rs.describe()}")
-    rho_check = _rho_check(rs)
-    min_step = min(vdot(w, rho_check) for w in rs.fundamental_weights)
-    best: Optional[tuple[Fraction, Vec]] = None
-    level = 0
-    while best is None or Q(level) * min_step <= best[0]:
-        for coeffs in _level_tuples(level, rs.rank):
-            mu = rs.from_fundamental(coeffs)
-            if not in_root_lattice(rs, vsub(lam, mu)):
-                continue
-            key = (vdot(mu, rho_check), mu)
-            if best is None or key < best:
-                best = key
-        level += 1
-        if level > 4 * rs.ambient_dim + 8:  # every coset has a small representative
-            raise AssertionError("canonical coset representative search did not terminate")
-    return SchurClass(rs, best[1])
+        lam = weight_str(rs.canonical(lam))
+        raise NotInWeightLattice(f"({lam}) is not in the weight lattice of {rs.describe()}")
+    residue = class_residue(rs, rs.fundamental_coefficients(lam))
+    rep: list[int] = []
+    for (family, rank), part in zip(rs.factors, residue):
+        # In every classical family the first omega_i of a nonzero class is minuscule.
+        first = class_group(family, rank)[1].index(part) if any(part) else rank
+        rep.extend(int(i == first) for i in range(rank))
+    return SchurClass(rs, residue, rs.from_fundamental(rep))
 
 
 def trivial_class(rs: RootSystem) -> SchurClass:
-    return SchurClass(rs, zero_vec(rs.ambient_dim))
+    return schur_class_of(rs, zero_vec(rs.ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,8 @@ def _classify_component(simple: list[Vec]) -> Optional[tuple[str, int]]:
         for j in range(k):
             if i != j:
                 p = coroot_pairing(simple[i], simple[j])
-                assert p.denominator == 1
+                if p.denominator != 1:
+                    raise NotDivisible(f"Cartan integer {rational_str(p)} is not an integer")
                 pair[i][j] = int(p)
     degree = [sum(1 for j in range(k) if pair[i][j] != 0) for i in range(k)]
     if any(d > 3 for d in degree):

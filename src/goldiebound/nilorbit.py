@@ -5,7 +5,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ParityViolation, SizeMismatch, UnsupportedOrbit, UnsupportedType
+from .errors import (
+    InvariantViolation,
+    NotDivisible,
+    ParityViolation,
+    SizeMismatch,
+    UnsupportedOrbit,
+    UnsupportedType,
+)
 from .rootsys import Q, RootSystem, Vec, vdot
 
 FAMILIES = ("sp", "so")
@@ -72,7 +79,8 @@ def centralizer_dim(p: Partition) -> int:
         doubled = squares + odd
     else:
         doubled = squares - odd
-    assert doubled % 2 == 0
+    if doubled % 2:
+        raise NotDivisible(f"twice the centralizer dimension of {p.parts} is odd: {doubled}")
     return doubled // 2
 
 
@@ -100,14 +108,17 @@ def h_and_grading(p: Partition) -> tuple[Vec, bool, dict[int, int]]:
             coords.append(Q(sign * value))
     coords.extend([Q(0)] * (zeros // 2))
     h = tuple(coords)
-    assert len(h) == rs.rank
+    if len(h) != rs.rank:
+        raise InvariantViolation(f"h has {len(h)} coordinates, expected rank {rs.rank}")
     grading: dict[int, int] = {0: rs.rank}
     for alpha in rs.all_roots:
         value = vdot(alpha.coords, h)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise NotDivisible(f"a root pairs to the non-integer {value} with h")
         grading[int(value)] = grading.get(int(value), 0) + 1
     even = is_even_orbit(p)
-    assert even == all(k % 2 == 0 for k in grading)
+    if even != all(k % 2 == 0 for k in grading):
+        raise InvariantViolation(f"evenness of {p.parts} disagrees with its grading")
     return h, even, grading
 
 

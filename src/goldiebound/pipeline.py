@@ -13,17 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotDivisible, PipelineError, UnsupportedType
+from .errors import InvariantViolation, NotDivisible, PipelineError, UnsupportedType
 from .lattice import integral_subsystem, schur_class_of
 from .nilorbit import OrbitDatum, Partition, orbit_datum, validate_partition
-from .repdim import (
-    DEFAULT_BOUND,
-    DEFAULT_WINDOW,
-    DPsiResult,
-    d_psi,
-    weyl_dim,
-)
-from .rootsys import Q, RootSystem, Vec, vscale
+from .repdim import DEFAULT_BOUND, DPsiResult, d_psi, weyl_dim
+from .rootsys import ALIASES, Q, RootSystem, Vec, vscale
 from .slices import (
     SliceContext,
     even_identity_check,
@@ -33,20 +27,11 @@ from .slices import (
     underline_character,
 )
 
-_ALIAS_EXPANSION = {
-    ("B", 1): (("A", 1),),
-    ("C", 1): (("A", 1),),
-    ("D", 1): (),
-    ("D", 2): (("A", 1), ("A", 1)),
-    ("D", 3): (("A", 3),),
-}
-
-
 def normalize_factors(factors: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Expand low-rank aliases and sort, for type comparisons."""
     out: list[tuple[str, int]] = []
     for factor in factors:
-        out.extend(_ALIAS_EXPANSION.get(factor, (factor,)))
+        out.extend(ALIASES.get(factor, (factor,)))
     return tuple(sorted(out))
 
 
@@ -79,8 +64,10 @@ class BoundReport:
     def __post_init__(self):
         if self.dim_v % self.d_v.value != 0:
             raise NotDivisible(f"{self.d_v.value} does not divide dim V = {self.dim_v}")
-        assert self.grk_bound == self.dim_v // self.d_v.value
-        assert self.ideal_codim == self.a_orbit_size * self.dim_v**2
+        if self.grk_bound != self.dim_v // self.d_v.value:
+            raise InvariantViolation(f"Grk bound {self.grk_bound} is not dim V / d(psi)")
+        if self.ideal_codim != self.a_orbit_size * self.dim_v**2:
+            raise InvariantViolation(f"codimension {self.ideal_codim} is not a_orbit * (dim V)^2")
 
 
 def _q_and_weight(n: int, omega_eta: Vec) -> tuple[RootSystem, Vec]:
@@ -106,7 +93,6 @@ def premet_example(
     n: int,
     *,
     bound: int = DEFAULT_BOUND,
-    window: int = DEFAULT_WINDOW,
     nu: Optional[Sequence] = None,
 ) -> BoundReport:
     """Run the sp_2n worked example for the orbit (2, ..., 2) at lam = rho/2."""
@@ -164,7 +150,7 @@ def premet_example(
 
     dim_v = weyl_dim(q, omega)
     psi = schur_class_of(q, omega)
-    d_result = d_psi(q, psi, bound=bound, window=window)
+    d_result = d_psi(q, psi, bound=bound)
     check(
         "class divisor",
         d_result.value > 0 and dim_v % d_result.value == 0,

@@ -3,26 +3,30 @@
 d(psi) is the greatest common divisor of the dimensions of the irreducible
 representations whose highest weight lies in a fixed root-lattice coset psi.
 It equals the index of the corresponding homogeneous Azumaya algebra, which is
-what `azumaya_index` is named for.  The gcd is computed over a finite
-enumeration and is exact when a divisibility certificate is met, otherwise it
-is reported as merely stabilized.
+what `azumaya_index` is named for.  `orbit_certificate` gives a proven divisor
+of every dimension in the class; `d_psi` enumerates witnesses until their gcd
+meets it, so every value it returns is exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import BudgetExceeded, NotDominant, NotInWeightLattice
-from .lattice import SchurClass, in_root_lattice, in_weight_lattice, _level_tuples
-from .rootsys import Q, RootSystem, Vec, coroot_pairing, vsub
+from .errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    NotDivisible,
+    NotDominant,
+    NotInWeightLattice,
+    UnsupportedType,
+)
+from .lattice import SchurClass, class_group, class_residue, in_weight_lattice, _level_tuples
+from .rootsys import Q, RootSystem, Vec, coroot_pairing, weight_str
 
 CERTIFIED = "certified"
-STABILIZED = "stabilized"
 
 DEFAULT_BOUND = 8
-DEFAULT_WINDOW = 3
 DEFAULT_NODE_LIMIT = 200_000
 
 
@@ -30,14 +34,19 @@ def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
     """Dimension of the irreducible module with dominant highest weight lam."""
     lam = rs.canonical(lam)
     if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant for {rs.describe()}")
+        raise NotDominant(f"({weight_str(lam)}) is not dominant for {rs.describe()}")
     if not in_weight_lattice(rs, lam):
-        raise NotInWeightLattice(f"{lam} is not in the weight lattice of {rs.describe()}")
+        raise NotInWeightLattice(
+            f"({weight_str(lam)}) is not in the weight lattice of {rs.describe()}"
+        )
     shifted = rs.canonical(tuple(a + b for a, b in zip(lam, rs.rho)))
     dim = Q(1)
     for alpha in rs.positive_roots:
         dim *= coroot_pairing(shifted, alpha) / coroot_pairing(rs.rho, alpha)
-    assert dim.denominator == 1 and dim > 0
+    if dim.denominator != 1:
+        raise NotDivisible(f"the Weyl product for ({weight_str(lam)}) is not an integer")
+    if dim <= 0:
+        raise InvariantViolation(f"the Weyl product for ({weight_str(lam)}) is not positive")
     return int(dim)
 
 
@@ -49,43 +58,78 @@ def enumerate_dominant_in_class(rs: RootSystem, psi: SchurClass, bound: int) -> 
     """
     out: list[Vec] = []
     for level in range(bound + 1):
-        batch = []
-        for coeffs in _level_tuples(level, rs.rank):
-            mu = rs.from_fundamental(coeffs)
-            if in_root_lattice(rs, vsub(mu, psi.rep)):
-                batch.append(mu)
+        batch = [
+            rs.from_fundamental(coeffs)
+            for coeffs in _level_tuples(level, rs.rank)
+            if class_residue(rs, coeffs) == psi.residue
+        ]
         out.extend(sorted(batch))
     return out
 
 
-def spinor_certificate(rs: RootSystem, psi: SchurClass) -> Optional[int]:
-    """A proven common divisor of all dimensions in the class, when known.
+def _parabolic_order(family: str, rank: int, nodes: frozenset) -> int:
+    """Order of the parabolic subgroup W_J of one simple factor, J a set of
+    nodes (0-based, Bourbaki order), as a product over the runs of J."""
+    spine = rank - 2 if family == "D" else rank  # D_n forks into nodes n-2 and n-1
+    order, run = 1, 0
+    for i in range(spine):
+        if i in nodes:
+            run += 1
+        else:
+            order, run = order * math.factorial(run + 1), 0
+    if family == "A":
+        return order * math.factorial(run + 1)
+    if family in ("B", "C"):  # a last run reaching the special end is of type B/C
+        return order * 2**run * math.factorial(run)
+    # D_n: the last run joined by both fork ends is of type D, by one of type A.
+    ends = len(nodes & {rank - 2, rank - 1})
+    return order * (2 ** (run + 1) if ends == 2 else 1) * math.factorial(run + 1 + min(ends, 1))
 
-    For the half-integral coset of B_n this is 2^n, for the half-integral
-    cosets of D_n it is 2^(n-1): every weight of such a module has a full
-    orbit under the group of (even) sign changes.  Other classes have no
-    certificate here and return None.
+
+def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
+    """A proven divisor of every dimension in the class psi.
+
+    dim V = sum m(mu) |W mu| over the dominant weights mu of V, all in psi, and
+    mu = sum c_i omega_i has |W mu| = |W| / |W_J| with J = {i : c_i = 0}.  Some
+    mu in psi has support K = the complement of J exactly when the classes of
+    omega_i, i in K, generate a subgroup of P/Q containing psi.  So the gcd of
+    |W| / |W_J| over those J divides d(psi); it is a product over the factors.
+    A larger K gives a multiple, so the search stops at the first K reaching
+    psi and skips nodes that do not enlarge the subgroup: every minimal K stays.
     """
-    if len(rs.factors) != 1:
-        return None
-    family, rank = rs.factors[0]
-    half_integral = all(c.denominator == 2 for c in psi.rep)
-    if family == "B" and half_integral:
-        return 2**rank
-    if family == "D" and half_integral:
-        return 2 ** (rank - 1)
-    return None
+    certificate = 1
+    for (family, rank), target in zip(rs.factors, psi.residue):
+        moduli, images = class_group(family, rank)
+        nodes = frozenset(range(rank))
+        weyl = _parabolic_order(family, rank, nodes)
+        divisor = 0
+        stack = [((), frozenset({(0,) * len(moduli)}), 0)]  # support, its subgroup, next node
+        while stack:
+            support, span, start = stack.pop()
+            if target in span:
+                parabolic = _parabolic_order(family, rank, nodes.difference(support))
+                divisor = math.gcd(divisor, weyl // parabolic)
+                continue
+            for i in range(start, rank):
+                larger = frozenset(  # every element's order divides the largest modulus
+                    tuple((s + k * x) % m for s, x, m in zip(element, images[i], moduli))
+                    for element in span
+                    for k in range(max(moduli))
+                )
+                if larger != span:
+                    stack.append((support + (i,), larger, i + 1))
+        certificate *= divisor
+    return certificate
 
 
 @dataclass(frozen=True)
 class DPsiResult:
     """Outcome of a d(psi) computation.
 
-    ``status`` is "certified" when the gcd met a proven divisor (so the value
-    is exact) and "stabilized" when it merely stopped changing over the last
-    few enumeration levels.  ``witnesses`` records the (weight, dimension)
-    pairs at which the running gcd strictly dropped; the value divides every
-    witness dimension.  ``bound_used`` is the highest level actually examined.
+    ``status`` is always "certified": the witnesses' gcd met the orbit
+    certificate, so the value is exact.  ``witnesses`` records the (weight,
+    dimension) pairs at which the running gcd strictly dropped.
+    ``bound_used`` is the level at which the certificate was met.
     """
 
     value: int
@@ -99,56 +143,47 @@ def d_psi(
     psi: SchurClass,
     *,
     bound: int = DEFAULT_BOUND,
-    window: int = DEFAULT_WINDOW,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> DPsiResult:
     """GCD of the dimensions of the irreducibles with highest weight in psi.
 
-    Dominant class members are enumerated up to ``bound`` (fundamental
-    coefficient sum).  The result is certified exact if it reaches a proven
-    divisor of the whole class, and reported as stabilized if it is unchanged
-    over the trailing ``window`` levels; otherwise BudgetExceeded is raised.
+    Dominant weights are enumerated level by level up to ``bound``
+    (fundamental coefficient sum), and class members are kept as witnesses
+    until their gcd meets `orbit_certificate`.  If the bound or
+    ``node_limit`` runs out first, BudgetExceeded states the proven interval.
     """
     if psi.root_system != rs:
         raise NotInWeightLattice("class does not belong to this root system")
-    certificate = spinor_certificate(rs, psi)
-    if certificate is None and psi.is_trivial():
-        certificate = 1  # the class of the trivial module
+    if bound < 0 or node_limit < 0:
+        raise UnsupportedType(f"bound and node_limit must be >= 0, got {bound} and {node_limit}")
+    certificate = orbit_certificate(rs, psi)
     running = 0
     witnesses: list[tuple[Vec, int]] = []
-    gcd_by_level: list[int] = []
-    nodes = 0
-    for level in range(bound + 1):
-        for coeffs in _level_tuples(level, rs.rank):
-            nodes += 1
-            if nodes > node_limit:
-                raise BudgetExceeded(
-                    f"d_psi visited more than {node_limit} enumeration nodes"
-                )
-            mu = rs.from_fundamental(coeffs)
-            if not in_root_lattice(rs, vsub(mu, psi.rep)):
-                continue
-            dim = weyl_dim(rs, mu)
-            if certificate is not None:
-                assert dim % certificate == 0
-            merged = math.gcd(running, dim)
-            if merged != running:
-                witnesses.append((mu, dim))
-                running = merged
-            if certificate is not None and running == certificate:
-                return DPsiResult(running, CERTIFIED, tuple(witnesses), level)
-        gcd_by_level.append(running)
-    if running and certificate is not None and running == certificate:
-        return DPsiResult(running, CERTIFIED, tuple(witnesses), bound)
-    if (
-        running
-        and len(gcd_by_level) > window
-        and gcd_by_level[-1] == gcd_by_level[-1 - window]
-    ):
-        return DPsiResult(running, STABILIZED, tuple(witnesses), bound)
+    candidates = ((level, c) for level in range(bound + 1) for c in _level_tuples(level, rs.rank))
+    levels_done = bound + 1
+    for nodes, (level, coeffs) in enumerate(candidates, 1):
+        if nodes > node_limit:
+            levels_done = level
+            break
+        if class_residue(rs, coeffs) != psi.residue:
+            continue
+        mu = rs.from_fundamental(coeffs)
+        dim = weyl_dim(rs, mu)
+        if dim % certificate:
+            raise NotDivisible(
+                f"certificate {certificate} does not divide dim V({weight_str(mu)}) = {dim}"
+            )
+        merged = math.gcd(running, dim)
+        if merged != running:
+            witnesses.append((mu, dim))
+            running = merged
+        if running == certificate:
+            return DPsiResult(running, CERTIFIED, tuple(witnesses), level)
+    upper = f" | {running}" if running else ""
     raise BudgetExceeded(
-        f"d_psi did not certify or stabilize within bound {bound} "
-        f"(running gcd {running or 'undefined'}); raise the bound"
+        f"d(psi) of the class of ({weight_str(psi.rep)}) in {rs.describe()}: budget ran out "
+        f"(bound {bound}, node limit {node_limit}) with {levels_done} of {bound + 1} levels done; "
+        f"proven: {certificate} | d(psi){upper}"
     )
 
 
@@ -157,7 +192,6 @@ def azumaya_index(
     psi: SchurClass,
     *,
     bound: int = DEFAULT_BOUND,
-    window: int = DEFAULT_WINDOW,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> DPsiResult:
     """Index of the homogeneous Azumaya locus attached to the class psi.
@@ -165,4 +199,4 @@ def azumaya_index(
     This is the same invariant as `d_psi`; the name records the algebraic
     meaning of the number.
     """
-    return d_psi(rs, psi, bound=bound, window=window, node_limit=node_limit)
+    return d_psi(rs, psi, bound=bound, node_limit=node_limit)

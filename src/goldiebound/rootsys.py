@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import DimensionMismatch, NotDominant, UnsupportedType
+from .errors import DimensionMismatch, NotDivisible, NotDominant, UnsupportedType
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -20,11 +20,13 @@ Vec = tuple[Fraction, ...]
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-_ALIAS_HINT = {
-    ("B", 1): "B1 is isomorphic to A1; build ('A', 1) instead",
-    ("C", 1): "C1 is isomorphic to A1; build ('A', 1) instead",
-    ("D", 1): "D1 is a torus direction, not a simple factor; drop it",
-    ("D", 2): "D2 is isomorphic to A1 x A1; build ('A', 1), ('A', 1) instead",
+# Low-rank classical types and the factors they are isomorphic to (D1 is a torus).
+ALIASES = {
+    ("B", 1): (("A", 1),),
+    ("C", 1): (("A", 1),),
+    ("D", 1): (),
+    ("D", 2): (("A", 1), ("A", 1)),
+    ("D", 3): (("A", 3),),
 }
 
 
@@ -57,6 +59,15 @@ def vdot(x: Vec, y: Vec) -> Fraction:
 
 def zero_vec(dim: int) -> Vec:
     return (Q(0),) * dim
+
+
+def rational_str(x: Union[int, Fraction]) -> str:
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def weight_str(w: Sequence) -> str:
+    return ",".join(rational_str(c) for c in w)
 
 
 class Root(NamedTuple):
@@ -182,8 +193,13 @@ class RootSystem:
             if not isinstance(rank, int) or rank < 1:
                 raise UnsupportedType(f"rank must be a positive integer, got {rank!r}")
             if rank < _MIN_RANK[family]:
-                hint = _ALIAS_HINT.get((family, rank), "rank below the supported range")
-                raise UnsupportedType(f"{family}{rank} rejected: {hint}")
+                alias = ALIASES[family, rank]  # every rank below the minimum has one
+                names = " x ".join(f"{f}{r}" for f, r in alias)
+                hint = f"is isomorphic to {names}; build {', '.join(map(repr, alias))} instead"
+                raise UnsupportedType(
+                    f"{family}{rank} rejected: {family}{rank} "
+                    + (hint if alias else "is a torus direction, not a simple factor; drop it")
+                )
 
     # -- shape ---------------------------------------------------------------
 
@@ -379,14 +395,15 @@ class RootSystem:
 
     def orbit_size(self, w: Sequence) -> int:
         size, rem = divmod(self.weyl_group_order(), self.stabilizer_order(w))
-        assert rem == 0
+        if rem:
+            raise NotDivisible(f"the Weyl orbit of ({weight_str(w)}) has no integer size")
         return size
 
     def is_minuscule(self, w: Sequence) -> bool:
         """True when every coroot pairing of the dominant weight w is 0 or 1."""
         w = self._check_dim(w)
         if not self.is_dominant(w):
-            raise NotDominant(f"{w} is not dominant for {self.describe()}")
+            raise NotDominant(f"({weight_str(w)}) is not dominant for {self.describe()}")
         return all(coroot_pairing(w, r) <= 1 for r in self.positive_roots)
 
 

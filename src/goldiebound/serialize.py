@@ -7,25 +7,15 @@ that parse + re-serialize is byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 from .pipeline import BoundReport
 from .repdim import DPsiResult
-from .rootsys import Vec
-
-
-def rational_str(x: Union[int, Fraction]) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+from .rootsys import rational_str, weight_str
 
 
 def weight_json(w: Sequence) -> list[str]:
     return [rational_str(c) for c in w]
-
-
-def weight_str(w: Sequence) -> str:
-    return ",".join(rational_str(c) for c in w)
 
 
 def dpsi_json(result: DPsiResult) -> dict[str, Any]:

@@ -165,6 +165,37 @@ def scan_dominant_in_class(family: str, rank: int, rep: tuple, bound: int) -> li
     return found
 
 
+def scan_height(family: str, part: tuple) -> Fraction:
+    """Pairing with half the sum of the positive coroots, per family.
+
+    That half sum is rho of the dual family: (n, ..., 1) for B_n,
+    (n - 1/2, ..., 1/2) for C_n, (n-1, ..., 0) for D_n and the centred
+    (n/2, ..., -n/2) for A_n, which ignores the all-ones direction.
+    """
+    n = len(part)
+    if family == "A":
+        dual_rho = [Q(n - 1 - 2 * i, 2) for i in range(n)]
+    elif family == "B":
+        dual_rho = [Q(n - i) for i in range(n)]
+    elif family == "C":
+        dual_rho = [Q(2 * (n - i) - 1, 2) for i in range(n)]
+    else:
+        dual_rho = [Q(n - 1 - i) for i in range(n)]
+    return sum((c * x for c, x in zip(dual_rho, part)), Q(0))
+
+
+def scan_dominant_in_product_class(rs, member: tuple, bounds: list[int]) -> list[tuple]:
+    """Dominant weights in the class of member, each factor block scanned to its own bound.
+
+    A class of a product is the product of the classes of its factor blocks.
+    """
+    blocks = [
+        scan_dominant_in_class(family, rank, tuple(member[offset : offset + dim]), bound)
+        for (family, rank, offset, dim), bound in zip(rs.blocks, bounds)
+    ]
+    return [sum(parts, ()) for parts in itertools.product(*blocks)]
+
+
 # -- Freudenthal dimension oracle ----------------------------------------------
 
 

@@ -85,7 +85,7 @@ def test_index_matches_dpsi():
 def test_dpsi_budget_exhaustion_exits_3():
     result = run("dpsi", "B2", "1/2,1/2", "--bound", "0")
     assert result.exit_code == 3
-    result = run("dpsi", "A3", "1,1,0,0", "--bound", "2")
+    result = run("dpsi", "A3", "1,1,0,0", "--bound", "1")  # certifies at level 2
     assert result.exit_code == 3
 
 
@@ -98,6 +98,30 @@ def test_dpsi_env_var_sets_default_bound(monkeypatch):
     env = {"GOLDIEBOUND_DPSI_BOUND": "zeuhl"}
     result = run("dpsi", "B2", "1/2,1/2", env=env)
     assert result.exit_code == 2
+
+
+def test_negative_bound_is_a_usage_error():
+    assert run("dpsi", "A2", "1,0,0", "--bound", "-1").exit_code == 2
+    assert run("premet", "3", env={"GOLDIEBOUND_DPSI_BOUND": "-2"}).exit_code == 2
+
+
+def test_window_is_accepted_and_ignored():
+    plain = run("dpsi", "A2", "1,0,0", "--bound", "2", "--format", "json")
+    windowed = run("dpsi", "A2", "1,0,0", "--bound", "2", "--window", "0", "--format", "json")
+    assert windowed.exit_code == 0 and windowed.output == plain.output
+    assert json.loads(windowed.output)["dpsi"]["status"] == "certified"
+    assert run("index", "B2", "1/2,1/2", "--window", "-1").exit_code == 0
+    assert run("premet", "3", "--window", "1").exit_code == 0
+    assert "--window" not in run("dpsi", "--help").output
+
+
+def test_error_text_prints_rationals():
+    result = run("index", "C2", "1/2,1/2")
+    assert result.exit_code == 2
+    assert "(1/2,1/2) is not in the weight lattice of C2" in result.output
+    result = run("dpsi", "A3", "1,1,0,0", "--bound", "1")
+    assert result.exit_code == 3
+    assert "proven: 2 | d(psi) | 6" in result.output
 
 
 def test_dpsi_tsv_and_pretty():

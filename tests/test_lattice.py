@@ -16,6 +16,8 @@ from goldiebound import (
 from goldiebound.errors import NotInWeightLattice
 from goldiebound.rootsys import vadd, vsub
 
+from oracles import scan_dominant_in_class, scan_height, scan_in_root_lattice
+
 
 def half(*values):
     return tuple(Q(v, 2) for v in values)
@@ -217,3 +219,28 @@ def test_schur_class_idempotent_on_rep(data):
     psi = schur_class_of(rs, rs.from_fundamental(coeffs))
     assert schur_class_of(rs, psi.rep) == psi
     assert rs.is_dominant(psi.rep)
+
+
+ORACLE_SYSTEMS = [
+    build(family, rank)
+    for family, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3))
+] + [build("D", 3), build("D", 4), build([("A", 1), ("A", 1)]), build([("A", 2), ("D", 4)])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_schur_class_matches_oracle_scan(data):
+    rs = data.draw(st.sampled_from(ORACLE_SYSTEMS))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank))
+    w = rs.from_fundamental(coeffs)
+    psi = schur_class_of(rs, w)
+    rep, in_root = [], True
+    for family, rank, offset, dim in rs.blocks:
+        block = w[offset : offset + dim]
+        members = scan_dominant_in_class(family, rank, block, 2)
+        heights = sorted((scan_height(family, m), m) for m in members)
+        assert [h for h, _ in heights].count(heights[0][0]) == 1
+        rep.extend(heights[0][1])
+        in_root = in_root and scan_in_root_lattice(family, block)
+    assert psi.rep == tuple(rep)
+    assert (not any(map(any, psi.residue))) == in_root == in_root_lattice(rs, w)

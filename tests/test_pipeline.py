@@ -62,7 +62,7 @@ def test_premet_example_n5_in_full():
 def test_premet_example_small_n_values():
     r3 = premet_example(3)
     assert (r3.dim_v, r3.d_v.value, r3.grk_bound) == (2, 2, 1)
-    assert r3.d_v.status == "stabilized"
+    assert r3.d_v.status == "certified"
     assert r3.q.describe() == "A1"
     assert r3.omega == (Q(1, 2), Q(-1, 2))
     assert (r3.a_orbit_size, r3.ideal_codim) == (1, 4)

@@ -1,4 +1,5 @@
 """Weyl dimensions, class enumeration, and the gcd invariant d(psi)."""
+import math
 import random
 from fractions import Fraction as Q
 
@@ -9,14 +10,19 @@ from goldiebound import (
     build,
     d_psi,
     enumerate_dominant_in_class,
+    orbit_certificate,
     schur_class_of,
-    spinor_certificate,
     trivial_class,
     weyl_dim,
 )
-from goldiebound.errors import BudgetExceeded, NotDominant, NotInWeightLattice
+from goldiebound.errors import BudgetExceeded, NotDominant, NotInWeightLattice, UnsupportedType
 
-from oracles import freudenthal_dim, scan_dominant_in_class
+from oracles import (
+    brute_orbit,
+    freudenthal_dim,
+    scan_dominant_in_class,
+    scan_dominant_in_product_class,
+)
 
 
 def half(*values):
@@ -144,17 +150,87 @@ def test_enumerate_is_graded_by_level():
 # -- certificates ------------------------------------------------------------------
 
 
-def test_spinor_certificate_values():
+def test_orbit_certificate_values():
     b4 = build("B", 4)
-    assert spinor_certificate(b4, schur_class_of(b4, half(1, 1, 1, 1))) == 16
+    assert orbit_certificate(b4, schur_class_of(b4, half(1, 1, 1, 1))) == 16
     d4 = build("D", 4)
-    assert spinor_certificate(d4, schur_class_of(d4, half(1, 1, 1, 1))) == 8
-    assert spinor_certificate(d4, schur_class_of(d4, half(1, 1, 1, -1))) == 8
-    assert spinor_certificate(d4, schur_class_of(d4, (1, 0, 0, 0))) is None
+    assert orbit_certificate(d4, schur_class_of(d4, half(1, 1, 1, 1))) == 8
+    assert orbit_certificate(d4, schur_class_of(d4, half(1, 1, 1, -1))) == 8
+    assert orbit_certificate(d4, schur_class_of(d4, (1, 0, 0, 0))) == 8
     c3 = build("C", 3)
-    assert spinor_certificate(c3, schur_class_of(c3, (1, 0, 0))) is None
+    assert orbit_certificate(c3, schur_class_of(c3, (1, 0, 0))) == 2
     a1 = build("A", 1)
-    assert spinor_certificate(a1, schur_class_of(a1, (1, 0))) is None
+    assert orbit_certificate(a1, schur_class_of(a1, (1, 0))) == 2
+
+
+def closed_form(family, rank, k):
+    """d(psi) for the class of omega_k (k = 0: the trivial class), for the
+    classes used below.
+
+    These are the maximal Tits-algebra indexes of Merkurjev, "Maximal indexes
+    of Tits algebras", Doc. Math. 1 (1996): (n+1)/gcd(n+1, k) for A_n, 2^n for
+    the spin class of B_n, 2^(n-1) for the half-spin classes of D_n, and
+    2^(v2(n)+1) for the class of omega_1 of C_n and of D_n.
+    """
+    if k == 0:
+        return 1
+    if family == "A":
+        return (rank + 1) // math.gcd(rank + 1, k)
+    if family == "B":
+        return 2**rank
+    if family == "D" and k >= rank - 1:
+        return 2 ** (rank - 1)
+    return 2 * (rank & -rank)
+
+
+def omega(rs, k):
+    return rs.from_fundamental([int(i == k - 1) for i in range(rs.rank)])
+
+
+def test_orbit_certificate_matches_closed_forms():
+    cases = [("A", n, range(n + 1)) for n in range(1, 8)]
+    cases += [("D", n, (0, 1, n - 1, n)) for n in range(3, 9)]
+    cases += [("B", n, (n,)) for n in range(2, 8)]
+    cases += [("C", n, (1,)) for n in range(2, 9)]
+    for family, rank, classes in cases:
+        rs = build(family, rank)
+        for k in classes:
+            psi = schur_class_of(rs, omega(rs, k))
+            assert orbit_certificate(rs, psi) == closed_form(family, rank, k), (family, rank, k)
+    a2d4 = build([("A", 2), ("D", 4)])
+    for ka in range(3):
+        for kd in (0, 1, 3, 4):
+            coeffs = [int(i == ka - 1) for i in range(2)] + [int(i == kd - 1) for i in range(4)]
+            psi = schur_class_of(a2d4, a2d4.from_fundamental(coeffs))
+            expected = closed_form("A", 2, ka) * closed_form("D", 4, kd)
+            assert orbit_certificate(a2d4, psi) == expected, (ka, kd)
+
+
+def test_orbit_certificate_is_gcd_of_brute_orbit_sizes():
+    # A dominant weight with support K lies in psi for some c_i >= 1 when the
+    # classes of K generate a subgroup H containing psi, and then for some
+    # c_i <= 1 + (|H| - 1) in total: every element of H is a sum of at most
+    # |H| - 1 generators.  So level rank + |P/Q| - 1 reaches every stabilizer.
+    order = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4}
+    systems = [build(f, n) for f, n in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3))]
+    systems += [build(f, n) for f, n in (("C", 2), ("C", 3), ("D", 3))]
+    # The products give a non-cyclic P/Q; D4 is left out as its box scan takes seconds.
+    systems += [build([("A", 1), ("A", 1)]), build([("A", 1), ("B", 2)])]
+    for rs in systems:
+        bounds = [rank + order[family](rank) - 1 for family, rank in rs.factors]
+        classes = {schur_class_of(rs, rs.from_fundamental(c)) for c in _unit_and_zero_tuples(rs.rank)}
+        for psi in classes:
+            members = scan_dominant_in_product_class(rs, psi.rep, bounds)
+            oracle = 0
+            for mu in members:
+                oracle = math.gcd(oracle, len(brute_orbit(rs, mu)))
+            assert orbit_certificate(rs, psi) == oracle, (rs.describe(), psi.rep)
+
+
+def _unit_and_zero_tuples(rank):
+    yield (0,) * rank
+    for k in range(rank):
+        yield tuple(int(i == k) for i in range(rank))
 
 
 # -- d_psi --------------------------------------------------------------------------
@@ -184,7 +260,7 @@ def test_d_psi_a3_two_row_class():
     psi = schur_class_of(rs, (1, 1, 0, 0))
     result = d_psi(rs, psi)
     assert result.value == 2
-    assert result.status == "stabilized"
+    assert result.status == "certified"
     assert result.value < weyl_dim(rs, (1, 1, 0, 0))
     # witnesses record the strict drops of the running gcd, which it divides
     assert all(dim % result.value == 0 for _, dim in result.witnesses)
@@ -228,9 +304,38 @@ def test_d_psi_budget_exceeded():
     psi = schur_class_of(rs, (1, 0))
     with pytest.raises(BudgetExceeded):
         d_psi(rs, psi, bound=0)  # no class member below level 1
-    a3 = build("A", 3)
+    a4 = build("A", 4)  # the class of omega_2 needs 15 nodes to certify
     with pytest.raises(BudgetExceeded):
-        d_psi(a3, schur_class_of(a3, (1, 1, 0, 0)), node_limit=5)
+        d_psi(a4, schur_class_of(a4, (1, 1, 0, 0, 0)), node_limit=14)
+    assert d_psi(a4, schur_class_of(a4, (1, 1, 0, 0, 0)), node_limit=15).value == 5
+
+
+def test_d_psi_rejects_negative_budgets():
+    rs = build("A", 2)
+    psi = schur_class_of(rs, (1, 0, 0))
+    with pytest.raises(UnsupportedType):
+        d_psi(rs, psi, bound=-1)
+    with pytest.raises(UnsupportedType):
+        d_psi(rs, psi, node_limit=-1)
+
+
+def test_budget_exceeded_states_the_proven_interval():
+    a3 = build("A", 3)
+    psi = schur_class_of(a3, (1, 1, 0, 0))
+    expected = r"\(1,1,0,0\) in A3: .* 2 of 2 levels done; proven: 2 \| d\(psi\) \| 6$"
+    with pytest.raises(BudgetExceeded, match=expected):
+        d_psi(a3, psi, bound=1)
+    with pytest.raises(BudgetExceeded, match=r"1 of 9 levels done; proven: 2 \| d\(psi\)$"):
+        d_psi(a3, psi, node_limit=1)
+
+
+def test_error_text_prints_rationals():
+    with pytest.raises(NotDominant, match=r"^\(-1,0\) is not dominant for B2$"):
+        weyl_dim(build("B", 2), (-1, 0))
+    with pytest.raises(NotInWeightLattice, match=r"^\(1/2,1/2\) is not in the weight lattice of C2$"):
+        weyl_dim(build("C", 2), half(1, 1))
+    with pytest.raises(NotInWeightLattice, match=r"^\(1/2,1/2\) is not in the weight lattice of C2$"):
+        schur_class_of(build("C", 2), half(1, 1))
 
 
 def test_d_psi_witnesses_chain():
