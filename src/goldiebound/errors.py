@@ -39,7 +39,8 @@ class UnsupportedOrbit(GoldieBoundError):
 
 
 class NonGenericNu(GoldieBoundError):
-    """The chosen slice parameter vanishes on a root that survives restriction."""
+    """The chosen slice parameter vanishes on a root that survives restriction,
+    or lies outside the chamber of t_Q that the worked example needs."""
 
 
 class NotEvenOrbit(GoldieBoundError):

@@ -4,18 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotDivisible, NotInWeightLattice
-from .rootsys import (
-    Root,
-    RootSystem,
-    Vec,
-    coroot_pairing,
-    rational_str,
-    vdot,
-    vsub,
-    weight_str,
-    zero_vec,
-)
+from .errors import NotInWeightLattice
+from .rootsys import Root, RootSystem, Vec, normalize_factors, vdot, weight_str, zero_vec
 
 
 def class_group(family: str, rank: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -105,8 +95,10 @@ class IntegralSubsystem:
 
     ``dim`` is the dimension of the corresponding reductive subalgebra:
     the number of integral roots plus the full rank.  ``type_guess`` is the
-    factor decomposition of the integral subsystem, or None when a component
-    does not match a classical diagram.
+    factor decomposition of the integral subsystem, read in closed form from
+    the classes of the weight's coordinates mod Z, with low-rank aliases
+    expanded, a rank-2 B or C factor named B2 and the factors sorted; it is
+    None exactly when no root is integral.
     """
 
     roots: tuple[Root, ...]
@@ -124,112 +116,32 @@ def integral_subsystem(rs: RootSystem, lam: Sequence) -> IntegralSubsystem:
     positive = [r for r in rs.positive_roots if vdot(lam, r.coords).denominator == 1]
     roots = tuple(positive) + tuple(r.negated() for r in positive)
     dim = len(roots) + rs.rank
-    return IntegralSubsystem(roots, dim, _classify([r.coords for r in positive]))
+    return IntegralSubsystem(roots, dim, _integral_type(rs, lam))
 
 
-def _classify(positive: list[Vec]) -> Optional[RootSystem]:
-    """Identify the type of a closed subsystem from its positive roots."""
-    if not positive:
-        return None
-    members = set(positive)
-    simple = []
-    for alpha in positive:
-        if not any(vsub(alpha, beta) in members for beta in positive if beta != alpha):
-            simple.append(alpha)
-    # Split the simple roots into connected components of the Coxeter diagram.
-    n = len(simple)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vdot(simple[i], simple[j]) != 0:
-                adj[i][j] = adj[j][i] = True
-    unseen = set(range(n))
-    factors: list[tuple[str, int]] = []
-    while unseen:
-        stack = [unseen.pop()]
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in list(unseen):
-                if adj[i][j]:
-                    unseen.remove(j)
-                    stack.append(j)
-        factor = _classify_component([simple[i] for i in comp])
-        if factor is None:
-            return None
-        factors.append(factor)
-    factors.sort()
-    return RootSystem(tuple(factors))
+def _integral_type(rs: RootSystem, lam: Vec) -> Optional[RootSystem]:
+    """The type of the integral subsystem of lam, from its coordinates mod Z.
 
-
-def _classify_component(simple: list[Vec]) -> Optional[tuple[str, int]]:
-    k = len(simple)
-    if k == 1:
-        return ("A", 1)
-    pair = [[0] * k for _ in range(k)]  # Cartan integers <alpha_i, alpha_j^vee>
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                p = coroot_pairing(simple[i], simple[j])
-                if p.denominator != 1:
-                    raise NotDivisible(f"Cartan integer {rational_str(p)} is not an integer")
-                pair[i][j] = int(p)
-    degree = [sum(1 for j in range(k) if pair[i][j] != 0) for i in range(k)]
-    if any(d > 3 for d in degree):
-        return None
-    forks = [i for i in range(k) if degree[i] == 3]
-    ends = [i for i in range(k) if degree[i] == 1]
-
-    if not forks:
-        if len(ends) != 2:
-            return None
-        # Walk the path from one end to the other.
-        order = [ends[0]]
-        while len(order) < k:
-            nxt = [
-                j
-                for j in range(k)
-                if pair[order[-1]][j] != 0 and j not in order[-2:]
-            ]
-            if len(nxt) != 1:
-                return None
-            order.append(nxt[0])
-        bonds = [pair[order[i]][order[i + 1]] * pair[order[i + 1]][order[i]] for i in range(k - 1)]
-        if any(b not in (1, 2) for b in bonds):
-            return None
-        doubles = [i for i, b in enumerate(bonds) if b == 2]
-        if not doubles:
-            return ("A", k)
-        if len(doubles) > 1 or doubles[0] not in (0, k - 2):
-            return None
-        if k == 2:
-            return ("B", 2)
-        # Orient so the double bond joins order[-2] and order[-1].
-        if doubles[0] == 0:
-            order.reverse()
-        # <alpha_{k-2}, alpha_{k-1}^vee> = -2 means the end root is short.
-        return ("B", k) if pair[order[-2]][order[-1]] == -2 else ("C", k)
-
-    if len(forks) != 1:
-        return None
-    if any(pair[i][j] * pair[j][i] not in (0, 1) for i in range(k) for j in range(i + 1, k)):
-        return None
-    # Branch lengths from the fork node; type D has two branches of length 1.
-    fork = forks[0]
-    lengths = []
-    for start in (j for j in range(k) if pair[fork][j] != 0):
-        length = 1
-        prev, cur = fork, start
-        while degree[cur] == 2:
-            nxt = [j for j in range(k) if pair[cur][j] != 0 and j != prev]
-            if len(nxt) != 1 or degree[nxt[0]] == 3:
-                return None
-            prev, cur = cur, nxt[0]
-            length += 1
-        if degree[cur] != 1:
-            return None
-        lengths.append(length)
-    if sorted(lengths)[:2] == [1, 1] and sum(lengths) == k - 1 and k >= 4:
-        return ("D", k)
-    return None
+    e_i - e_j is integral when lam_i = lam_j mod Z, e_i + e_j when lam_i =
+    -lam_j mod Z, e_i (type B) when lam_i is in Z and 2 e_i (type C) when
+    2 lam_i is.
+    So in type A each class of m coordinates spans A_(m-1).  In types B, C
+    and D the class 0 spans B_m, C_m or D_m, the class 1/2 spans C_m in type C
+    and D_m in types B and D, and each other pair {a, -a} spans A_(m-1), m
+    counting the coordinates of both classes.
+    """
+    found = []
+    for family, _, offset, dim in rs.blocks:
+        counts: dict = {}
+        for c in lam[offset : offset + dim]:
+            a = c % 1 if family == "A" else min(c % 1, -c % 1)
+            counts[a] = counts.get(a, 0) + 1
+        for a, m in counts.items():
+            if family != "A" and a == 0:
+                found.append((family, m))
+            elif family != "A" and 2 * a == 1:
+                found.append(("C" if family == "C" else "D", m))
+            elif m > 1:
+                found.append(("A", m - 1))
+    factors = normalize_factors([("B", 2) if f == ("C", 2) else f for f in found])
+    return RootSystem(factors) if factors else None

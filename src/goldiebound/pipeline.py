@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvariantViolation, NotDivisible, PipelineError, UnsupportedType
+from .errors import InvariantViolation, NonGenericNu, NotDivisible, PipelineError, UnsupportedType
 from .lattice import integral_subsystem, schur_class_of
 from .nilorbit import OrbitDatum, Partition, orbit_datum, validate_partition
 from .repdim import DEFAULT_BOUND, DPsiResult, d_psi, weyl_dim
-from .rootsys import ALIASES, Q, RootSystem, Vec, vscale
+from .rootsys import Q, RootSystem, Vec, normalize_factors, vec, vscale, weight_str
 from .slices import (
     SliceContext,
     even_identity_check,
@@ -26,13 +26,6 @@ from .slices import (
     slice_context,
     underline_character,
 )
-
-def normalize_factors(factors: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Expand low-rank aliases and sort, for type comparisons."""
-    out: list[tuple[str, int]] = []
-    for factor in factors:
-        out.extend(ALIASES.get(factor, (factor,)))
-    return tuple(sorted(out))
 
 
 def goldie_bound(dim_v: int, d: int) -> int:
@@ -95,9 +88,21 @@ def premet_example(
     bound: int = DEFAULT_BOUND,
     nu: Optional[Sequence] = None,
 ) -> BoundReport:
-    """Run the sp_2n worked example for the orbit (2, ..., 2) at lam = rho/2."""
+    """Run the sp_2n worked example for the orbit (2, ..., 2) at lam = rho/2.
+
+    A given nu must lie in the dominant chamber nu_1 > ... > nu_m > 0 of t_Q,
+    m = n // 2: the restricted character is computed against the standard
+    positive system, which only that chamber's nu-negative system matches.
+    """
     if n < 3:
         raise UnsupportedType("the worked example needs n >= 3")
+    if nu is not None:
+        nu = vec(nu)
+        if len(nu) != n // 2 or not all(a > b for a, b in zip(nu, nu[1:] + (0,))):
+            chamber = " > ".join(f"nu_{i}" for i in range(1, n // 2 + 1))
+            raise NonGenericNu(
+                f"nu = ({weight_str(nu)}) is not in the dominant chamber {chamber} > 0 of t_Q"
+            )
     verdicts: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str):
@@ -114,30 +119,36 @@ def premet_example(
         sub.dim == n * n,
         f"dim = {sub.dim}, expected n^2 = {n * n}",
     )
-    expected = normalize_factors((("B", n // 2), ("D", (n + 1) // 2)))
-    actual = normalize_factors(sub.type_guess.factors) if sub.type_guess else None
+    expected = RootSystem(normalize_factors((("B", n // 2), ("D", (n + 1) // 2))))
     check(
         "integral subsystem type",
-        actual == expected,
-        f"type = {actual}, expected {expected}",
+        sub.type_guess == expected,
+        f"type = {sub.type_guess}, expected {expected}",
     )
 
     partition = validate_partition("sp", (2,) * n)
     orbit = orbit_datum(partition)
     ctx = slice_context(orbit, nu)
+    factors = " x ".join(f"{kind}({size})" for kind, size in orbit.reductive_factors)
     check(
         "reductive centralizer",
         orbit.reductive_factors == (("O", n),) and orbit.component_group_order == 2,
-        f"Q = {orbit.reductive_factors}, pi_0 order {orbit.component_group_order}",
+        f"Q = {factors}, pi_0 order {orbit.component_group_order}",
     )
-    check("even identity", even_identity_check(ctx), "delta restriction identity failed")
+    agree = even_identity_check(ctx)
+    relation = "agree" if agree else "differ"
+    check(
+        "even identity",
+        agree,
+        f"delta and half the nonzero-degree nu-negative roots {relation} on t_Q",
+    )
 
     m = n // 2
     omega_eta = underline_character(lam, ctx)
     check(
         "restricted character",
         omega_eta == (Q(1, 2),) * m,
-        f"omega_eta = {omega_eta}, expected (1/2, ..., 1/2)",
+        f"omega_eta = ({weight_str(omega_eta)}), expected (1/2, ..., 1/2)",
     )
 
     q, omega = _q_and_weight(n, omega_eta)
@@ -145,7 +156,7 @@ def premet_example(
     check(
         "irreducibility over Q",
         verdict.irreducible,
-        verdict.reason or f"V({omega}) is irreducible over Q",
+        verdict.reason or f"V({weight_str(omega)}) is irreducible over Q",
     )
 
     dim_v = weyl_dim(q, omega)

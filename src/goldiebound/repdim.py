@@ -2,10 +2,11 @@
 
 d(psi) is the greatest common divisor of the dimensions of the irreducible
 representations whose highest weight lies in a fixed root-lattice coset psi.
-It equals the index of the corresponding homogeneous Azumaya algebra, which is
-what `azumaya_index` is named for.  `orbit_certificate` gives a proven divisor
-of every dimension in the class; `d_psi` enumerates witnesses until their gcd
-meets it, so every value it returns is exact.
+It equals the index of the corresponding homogeneous Azumaya algebra.
+`orbit_certificate` gives a proven divisor of every dimension in the class, a
+closed form per simple factor read from the class's residue in P/Q; `d_psi`
+enumerates witnesses until their gcd meets it, so every value it returns is
+exact.
 """
 from __future__ import annotations
 
@@ -67,58 +68,32 @@ def enumerate_dominant_in_class(rs: RootSystem, psi: SchurClass, bound: int) -> 
     return out
 
 
-def _parabolic_order(family: str, rank: int, nodes: frozenset) -> int:
-    """Order of the parabolic subgroup W_J of one simple factor, J a set of
-    nodes (0-based, Bourbaki order), as a product over the runs of J."""
-    spine = rank - 2 if family == "D" else rank  # D_n forks into nodes n-2 and n-1
-    order, run = 1, 0
-    for i in range(spine):
-        if i in nodes:
-            run += 1
-        else:
-            order, run = order * math.factorial(run + 1), 0
-    if family == "A":
-        return order * math.factorial(run + 1)
-    if family in ("B", "C"):  # a last run reaching the special end is of type B/C
-        return order * 2**run * math.factorial(run)
-    # D_n: the last run joined by both fork ends is of type D, by one of type A.
-    ends = len(nodes & {rank - 2, rank - 1})
-    return order * (2 ** (run + 1) if ends == 2 else 1) * math.factorial(run + 1 + min(ends, 1))
-
-
 def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
     """A proven divisor of every dimension in the class psi.
 
     dim V = sum m(mu) |W mu| over the dominant weights mu of V, all in psi, and
-    mu = sum c_i omega_i has |W mu| = |W| / |W_J| with J = {i : c_i = 0}.  Some
-    mu in psi has support K = the complement of J exactly when the classes of
-    omega_i, i in K, generate a subgroup of P/Q containing psi.  So the gcd of
-    |W| / |W_J| over those J divides d(psi); it is a product over the factors.
-    A larger K gives a multiple, so the search stops at the first K reaching
-    psi and skips nodes that do not enlarge the subgroup: every minimal K stays.
+    mu = sum c_i omega_i has |W mu| = |W| / |W_J| with J = {i : c_i = 0}.  So
+    the gcd of |W| / |W_J| over the supports that the class realizes divides
+    d(psi).  That gcd is a product over the simple factors, read here from
+    psi.residue in closed form: (n+1)/gcd(n+1, k) for the class k of A_n, 2^n
+    for the spin class of B_n, 2^(n-1) for the half-spin classes of D_n and
+    2^(v2(n)+1) for the class of omega_1 of C_n and D_n.  These are the
+    maximal indexes of Tits algebras (Merkurjev, "Maximal indexes of Tits
+    algebras", Doc. Math. 1, 1996).  `tests/oracles.py` keeps the walk over
+    supports that computes the gcd directly, as a referee.
     """
     certificate = 1
-    for (family, rank), target in zip(rs.factors, psi.residue):
-        moduli, images = class_group(family, rank)
-        nodes = frozenset(range(rank))
-        weyl = _parabolic_order(family, rank, nodes)
-        divisor = 0
-        stack = [((), frozenset({(0,) * len(moduli)}), 0)]  # support, its subgroup, next node
-        while stack:
-            support, span, start = stack.pop()
-            if target in span:
-                parabolic = _parabolic_order(family, rank, nodes.difference(support))
-                divisor = math.gcd(divisor, weyl // parabolic)
-                continue
-            for i in range(start, rank):
-                larger = frozenset(  # every element's order divides the largest modulus
-                    tuple((s + k * x) % m for s, x, m in zip(element, images[i], moduli))
-                    for element in span
-                    for k in range(max(moduli))
-                )
-                if larger != span:
-                    stack.append((support + (i,), larger, i + 1))
-        certificate *= divisor
+    for (family, rank), part in zip(rs.factors, psi.residue):
+        if not any(part):
+            continue
+        if family == "A":
+            certificate *= (rank + 1) // math.gcd(rank + 1, part[0])
+        elif family == "B":
+            certificate *= 2**rank
+        elif part == class_group(family, rank)[1][0]:  # the class of omega_1, C_n or D_n
+            certificate *= 2 * (rank & -rank)
+        else:  # a half-spin class of D_n
+            certificate *= 2 ** (rank - 1)
     return certificate
 
 
@@ -185,18 +160,3 @@ def d_psi(
         f"(bound {bound}, node limit {node_limit}) with {levels_done} of {bound + 1} levels done; "
         f"proven: {certificate} | d(psi){upper}"
     )
-
-
-def azumaya_index(
-    rs: RootSystem,
-    psi: SchurClass,
-    *,
-    bound: int = DEFAULT_BOUND,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> DPsiResult:
-    """Index of the homogeneous Azumaya locus attached to the class psi.
-
-    This is the same invariant as `d_psi`; the name records the algebraic
-    meaning of the number.
-    """
-    return d_psi(rs, psi, bound=bound, node_limit=node_limit)

@@ -30,6 +30,14 @@ ALIASES = {
 }
 
 
+def normalize_factors(factors: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """Expand low-rank aliases and sort, for type comparisons."""
+    out: list[tuple[str, int]] = []
+    for factor in factors:
+        out.extend(ALIASES.get(factor, (factor,)))
+    return tuple(sorted(out))
+
+
 def vec(values: Iterable[Scalar]) -> Vec:
     """Coerce an iterable of rationals to a weight vector."""
     return tuple(Q(v) for v in values)

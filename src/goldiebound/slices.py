@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import NonGenericNu, NotDominant, NotEvenOrbit
 from .nilorbit import OrbitDatum, ambient_root_system, tQ_embedding
-from .rootsys import Q, RootSystem, Vec, vdot, vec, vscale, vsub, zero_vec
+from .rootsys import Q, RootSystem, Vec, vdot, vec, vscale, vsub, weight_str, zero_vec
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceCont
         restricted = restrict_to_tQ(alpha.coords, ctx)
         if any(c != 0 for c in restricted) and vdot(restricted, nu) == 0:
             raise NonGenericNu(
-                f"root {alpha.coords} survives restriction but pairs to zero with nu={nu}"
+                f"root ({weight_str(alpha.coords)}) survives restriction but pairs to zero "
+                f"with nu = ({weight_str(nu)})"
             )
     return ctx
 
@@ -176,7 +177,7 @@ def irreducibility_verdict(
     """
     omega = q.canonical(omega)
     if not q.is_dominant(omega):
-        raise NotDominant(f"{omega} is not dominant for {q.describe()}")
+        raise NotDominant(f"({weight_str(omega)}) is not dominant for {q.describe()}")
     if not underline_dim_one:
         return IrreducibilityVerdict(
             False, None, "(i) restricted module not known to be one-dimensional"
@@ -187,5 +188,7 @@ def irreducibility_verdict(
                 False, None, "(ii) reductive centralizer has an O(2) factor"
             )
     if not q.is_minuscule(omega):
-        return IrreducibilityVerdict(False, None, f"(iii) {omega} is not minuscule for {q.describe()}")
+        return IrreducibilityVerdict(
+            False, None, f"(iii) ({weight_str(omega)}) is not minuscule for {q.describe()}"
+        )
     return IrreducibilityVerdict(True, omega, None)

@@ -1,0 +1,68 @@
+"""Record the CLI goldens that `tests/test_golden.py` replays byte for byte.
+
+    PYTHONPATH=src python3 tests/golden/record.py
+
+Each run in RUNS goes through `goldiebound.cli.main` once per output format.
+Its stdout is written to `<name>-<format>.out` in this directory, and its
+arguments, exit code and stderr to `runs.json`.  Re-record only for a
+deliberate change of the output contract, and list every changed file in
+CHANGES.md with the reason.
+"""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from goldiebound.cli import ENV_BOUND, main
+
+GOLDEN = Path(__file__).resolve().parent
+FORMATS = ("json", "tsv", "pretty")
+
+# (name, arguments): each is recorded in every format of FORMATS.
+RUNS = [
+    ("integral-readme", ["integral", "B2", "1/3,0"]),
+    ("integral-product", ["integral", "A2xC3", "1/2,0,1/2,1/2,1/2,0"]),
+    ("integral-empty", ["integral", "B2", "1/3,1/5"]),
+    ("integral-half", ["integral", "B5", "1/2,1/2,1/2,0,0"]),
+    ("delta-nongeneric", ["delta", "sp", "2^4", "--nu", "1,1"]),
+]
+for command in ("dpsi", "index"):
+    RUNS += [
+        (f"{command}-B4-spin", [command, "B4", "1/2,1/2,1/2,1/2"]),
+        (f"{command}-D4-vector", [command, "D4", "1,0,0,0"]),
+        (f"{command}-A5-omega2", [command, "A5", "fw:[0,1,0,0,0]"]),
+        (f"{command}-A2xD4", [command, "A2xD4", "fw:[1,0,0,0,0,1]"]),
+    ]
+RUNS += [(f"premet-{n}", ["premet", str(n)]) for n in range(3, 9)]
+RUNS += [("table-premet-3-8", ["table", "premet", "--from", "3", "--to", "8"])]
+
+
+def replay(args: list[str]):
+    """One CLI invocation with the default d(psi) bound, whatever the environment sets."""
+    return CliRunner().invoke(main, args, env={ENV_BOUND: None})
+
+
+def record() -> list[dict]:
+    index = []
+    for name, args in RUNS:
+        for fmt in FORMATS:
+            full = args + ["--format", fmt]
+            result = replay(full)
+            stdout = f"{name}-{fmt}.out"
+            (GOLDEN / stdout).write_text(result.stdout)
+            index.append(
+                {
+                    "args": full,
+                    "exit_code": result.exit_code,
+                    "stderr": result.stderr,
+                    "stdout": stdout,
+                }
+            )
+    (GOLDEN / "runs.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    return index
+
+
+if __name__ == "__main__":
+    print(f"recorded {len(record())} runs in {GOLDEN}")

@@ -4,12 +4,22 @@ Everything here recomputes results from first principles by brute force:
 explicit signed-permutation Weyl groups, Freudenthal's multiplicity recursion,
 coordinate-box lattice scans, and exact linear algebra on honest matrices for
 centralizers of nilpotents.  None of it shares code paths with the library
-beyond the basic vector helpers.
+beyond the basic vector helpers, with one exception: the last section keeps
+two searches the library replaced by closed forms, the Dynkin-diagram
+recognizer of integral subsystems and the support walk behind the class
+certificate, as referees.  They take root systems and the P/Q class tables
+from the library and nothing else.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Optional
+
+from goldiebound.errors import NotDivisible
+from goldiebound.lattice import SchurClass, class_group
+from goldiebound.rootsys import RootSystem, Vec, coroot_pairing, rational_str, vdot, vsub
 
 Q = Fraction
 
@@ -437,3 +447,170 @@ def _jordan_type(e) -> tuple:
         count = (ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0)
         sizes.extend([s] * count)
     return tuple(sorted(sizes, reverse=True))
+
+
+# -- searches the library replaced by closed forms -----------------------------
+
+
+def diagram_type(positive: list[Vec]) -> Optional[RootSystem]:
+    """Identify the type of a closed subsystem from its positive roots."""
+    if not positive:
+        return None
+    members = set(positive)
+    simple = []
+    for alpha in positive:
+        if not any(vsub(alpha, beta) in members for beta in positive if beta != alpha):
+            simple.append(alpha)
+    # Split the simple roots into connected components of the Coxeter diagram.
+    n = len(simple)
+    adj = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if vdot(simple[i], simple[j]) != 0:
+                adj[i][j] = adj[j][i] = True
+    unseen = set(range(n))
+    factors: list[tuple[str, int]] = []
+    while unseen:
+        stack = [unseen.pop()]
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in list(unseen):
+                if adj[i][j]:
+                    unseen.remove(j)
+                    stack.append(j)
+        factor = _classify_component([simple[i] for i in comp])
+        if factor is None:
+            return None
+        factors.append(factor)
+    factors.sort()
+    return RootSystem(tuple(factors))
+
+
+def _classify_component(simple: list[Vec]) -> Optional[tuple[str, int]]:
+    k = len(simple)
+    if k == 1:
+        return ("A", 1)
+    pair = [[0] * k for _ in range(k)]  # Cartan integers <alpha_i, alpha_j^vee>
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                p = coroot_pairing(simple[i], simple[j])
+                if p.denominator != 1:
+                    raise NotDivisible(f"Cartan integer {rational_str(p)} is not an integer")
+                pair[i][j] = int(p)
+    degree = [sum(1 for j in range(k) if pair[i][j] != 0) for i in range(k)]
+    if any(d > 3 for d in degree):
+        return None
+    forks = [i for i in range(k) if degree[i] == 3]
+    ends = [i for i in range(k) if degree[i] == 1]
+
+    if not forks:
+        if len(ends) != 2:
+            return None
+        # Walk the path from one end to the other.
+        order = [ends[0]]
+        while len(order) < k:
+            nxt = [
+                j
+                for j in range(k)
+                if pair[order[-1]][j] != 0 and j not in order[-2:]
+            ]
+            if len(nxt) != 1:
+                return None
+            order.append(nxt[0])
+        bonds = [pair[order[i]][order[i + 1]] * pair[order[i + 1]][order[i]] for i in range(k - 1)]
+        if any(b not in (1, 2) for b in bonds):
+            return None
+        doubles = [i for i, b in enumerate(bonds) if b == 2]
+        if not doubles:
+            return ("A", k)
+        if len(doubles) > 1 or doubles[0] not in (0, k - 2):
+            return None
+        if k == 2:
+            return ("B", 2)
+        # Orient so the double bond joins order[-2] and order[-1].
+        if doubles[0] == 0:
+            order.reverse()
+        # <alpha_{k-2}, alpha_{k-1}^vee> = -2 means the end root is short.
+        return ("B", k) if pair[order[-2]][order[-1]] == -2 else ("C", k)
+
+    if len(forks) != 1:
+        return None
+    if any(pair[i][j] * pair[j][i] not in (0, 1) for i in range(k) for j in range(i + 1, k)):
+        return None
+    # Branch lengths from the fork node; type D has two branches of length 1.
+    fork = forks[0]
+    lengths = []
+    for start in (j for j in range(k) if pair[fork][j] != 0):
+        length = 1
+        prev, cur = fork, start
+        while degree[cur] == 2:
+            nxt = [j for j in range(k) if pair[cur][j] != 0 and j != prev]
+            if len(nxt) != 1 or degree[nxt[0]] == 3:
+                return None
+            prev, cur = cur, nxt[0]
+            length += 1
+        if degree[cur] != 1:
+            return None
+        lengths.append(length)
+    if sorted(lengths)[:2] == [1, 1] and sum(lengths) == k - 1 and k >= 4:
+        return ("D", k)
+    return None
+
+
+def _parabolic_order(family: str, rank: int, nodes: frozenset) -> int:
+    """Order of the parabolic subgroup W_J of one simple factor, J a set of
+    nodes (0-based, Bourbaki order), as a product over the runs of J."""
+    spine = rank - 2 if family == "D" else rank  # D_n forks into nodes n-2 and n-1
+    order, run = 1, 0
+    for i in range(spine):
+        if i in nodes:
+            run += 1
+        else:
+            order, run = order * math.factorial(run + 1), 0
+    if family == "A":
+        return order * math.factorial(run + 1)
+    if family in ("B", "C"):  # a last run reaching the special end is of type B/C
+        return order * 2**run * math.factorial(run)
+    # D_n: the last run joined by both fork ends is of type D, by one of type A.
+    ends = len(nodes & {rank - 2, rank - 1})
+    return order * (2 ** (run + 1) if ends == 2 else 1) * math.factorial(run + 1 + min(ends, 1))
+
+
+
+def walk_certificate(rs: RootSystem, psi: SchurClass) -> int:
+    """A proven divisor of every dimension in the class psi.
+
+    dim V = sum m(mu) |W mu| over the dominant weights mu of V, all in psi, and
+    mu = sum c_i omega_i has |W mu| = |W| / |W_J| with J = {i : c_i = 0}.  Some
+    mu in psi has support K = the complement of J exactly when the classes of
+    omega_i, i in K, generate a subgroup of P/Q containing psi.  So the gcd of
+    |W| / |W_J| over those J divides d(psi); it is a product over the factors.
+    A larger K gives a multiple, so the search stops at the first K reaching
+    psi and skips nodes that do not enlarge the subgroup: every minimal K stays.
+    """
+    certificate = 1
+    for (family, rank), target in zip(rs.factors, psi.residue):
+        moduli, images = class_group(family, rank)
+        nodes = frozenset(range(rank))
+        weyl = _parabolic_order(family, rank, nodes)
+        divisor = 0
+        stack = [((), frozenset({(0,) * len(moduli)}), 0)]  # support, its subgroup, next node
+        while stack:
+            support, span, start = stack.pop()
+            if target in span:
+                parabolic = _parabolic_order(family, rank, nodes.difference(support))
+                divisor = math.gcd(divisor, weyl // parabolic)
+                continue
+            for i in range(start, rank):
+                larger = frozenset(  # every element's order divides the largest modulus
+                    tuple((s + k * x) % m for s, x, m in zip(element, images[i], moduli))
+                    for element in span
+                    for k in range(max(moduli))
+                )
+                if larger != span:
+                    stack.append((support + (i,), larger, i + 1))
+        certificate *= divisor
+    return certificate

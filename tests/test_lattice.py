@@ -16,7 +16,7 @@ from goldiebound import (
 from goldiebound.errors import NotInWeightLattice
 from goldiebound.rootsys import vadd, vsub
 
-from oracles import scan_dominant_in_class, scan_height, scan_in_root_lattice
+from oracles import diagram_type, scan_dominant_in_class, scan_height, scan_in_root_lattice
 
 
 def half(*values):
@@ -199,6 +199,26 @@ def test_integral_subsystem_type_classification_cases():
     sub = integral_subsystem(build("B", 2), (Q(1, 3), Q(1, 5)))
     assert sub.type_guess is None
     assert sub.dim == 2
+
+
+REFEREE_SYSTEMS = (
+    [build("A", n) for n in range(1, 8)]
+    + [build(family, n) for family in "BC" for n in range(2, 8)]
+    + [build("D", n) for n in range(3, 8)]
+    + [build(pair) for pair in ([("A", 2), ("B", 3)], [("C", 3), ("D", 4)], [("A", 3), ("C", 2)])]
+    + [build(pair) for pair in ([("B", 2), ("D", 3)], [("A", 1), ("A", 4)], [("D", 5), ("B", 3)])]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integral_type_matches_diagram_recognizer(data):
+    rs = data.draw(st.sampled_from(REFEREE_SYSTEMS))
+    denominator = data.draw(st.sampled_from((1, 2, 3, 4, 6)))
+    size = rs.ambient_dim
+    numerators = data.draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size))
+    sub = integral_subsystem(rs, tuple(Q(c, denominator) for c in numerators))
+    assert sub.type_guess == diagram_type([r.coords for r in sub.roots if r.positive])
 
 
 def test_trivial_class():

@@ -1,7 +1,10 @@
 """The sp_2n worked example end to end, plus the bound arithmetic."""
+import functools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldiebound import (
     BoundReport,
@@ -11,7 +14,7 @@ from goldiebound import (
     premet_example,
     premet_table,
 )
-from goldiebound.errors import NotDivisible, PipelineError, UnsupportedType
+from goldiebound.errors import NonGenericNu, NotDivisible, PipelineError, UnsupportedType
 from goldiebound.repdim import DPsiResult
 
 
@@ -116,6 +119,32 @@ def test_premet_custom_generic_nu_agrees():
     assert shifted.grk_bound == default.grk_bound
 
 
+@functools.cache
+def _default_values(n):
+    report = premet_example(n)
+    return report.grk_bound, report.dim_v, report.d_v.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_premet_generic_nu_agrees_or_is_rejected_by_chamber(data):
+    # Distinct nonzero absolute values make nu generic.  Half the draws are
+    # dominant; the rest are signed permutations of such a nu.
+    n = data.draw(st.integers(3, 7))
+    m = n // 2
+    sizes = data.draw(st.lists(st.integers(1, m + 2), min_size=m, max_size=m, unique=True))
+    if data.draw(st.booleans()):
+        nu = tuple(sorted(sizes, reverse=True))
+    else:
+        nu = tuple(s * data.draw(st.sampled_from((1, -1))) for s in sizes)
+    if all(a > b for a, b in zip(nu, nu[1:] + (0,))):
+        report = premet_example(n, nu=nu)
+        assert (report.grk_bound, report.dim_v, report.d_v.value) == _default_values(n)
+    else:
+        with pytest.raises(NonGenericNu, match="not in the dominant chamber"):
+            premet_example(n, nu=nu)
+
+
 def test_bound_report_rejects_inconsistent_fields():
     good = premet_example(3)
     bad_d = DPsiResult(value=3, status="stabilized", witnesses=(), bound_used=8)
@@ -141,8 +170,6 @@ def test_bound_report_rejects_inconsistent_fields():
 def test_pipeline_error_on_forced_failure():
     # an integral-subsystem check cannot fail for valid n, but a bogus nu
     # that is non-generic surfaces as the dedicated error instead
-    from goldiebound.errors import NonGenericNu
-
     with pytest.raises(NonGenericNu):
         premet_example(4, nu=(1, 1))
 

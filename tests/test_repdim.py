@@ -1,4 +1,5 @@
 """Weyl dimensions, class enumeration, and the gcd invariant d(psi)."""
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -6,7 +7,6 @@ from fractions import Fraction as Q
 import pytest
 
 from goldiebound import (
-    azumaya_index,
     build,
     d_psi,
     enumerate_dominant_in_class,
@@ -22,6 +22,7 @@ from oracles import (
     freudenthal_dim,
     scan_dominant_in_class,
     scan_dominant_in_product_class,
+    walk_certificate,
 )
 
 
@@ -233,6 +234,19 @@ def _unit_and_zero_tuples(rank):
         yield tuple(int(i == k) for i in range(rank))
 
 
+def test_orbit_certificate_matches_support_walk_on_every_class():
+    # Every class of a simple factor holds 0 or a fundamental weight, so the
+    # products of those cover every class of a product.
+    systems = [build("A", n) for n in range(1, 13)]
+    systems += [build(family, n) for family in "BC" for n in range(2, 13)]
+    systems += [build("D", n) for n in range(3, 13)] + [build([("A", 2), ("D", 4)])]
+    for rs in systems:
+        per_factor = [_unit_and_zero_tuples(rank) for _, rank in rs.factors]
+        for parts in itertools.product(*per_factor):
+            psi = schur_class_of(rs, rs.from_fundamental(sum(parts, ())))
+            assert orbit_certificate(rs, psi) == walk_certificate(rs, psi), (rs, psi.residue)
+
+
 # -- d_psi --------------------------------------------------------------------------
 
 
@@ -352,8 +366,3 @@ def test_d_psi_witnesses_chain():
         running = new
     assert running == result.value
 
-
-def test_azumaya_index_is_d_psi():
-    rs = build("B", 3)
-    psi = schur_class_of(rs, half(1, 1, 1))
-    assert azumaya_index(rs, psi) == d_psi(rs, psi)
