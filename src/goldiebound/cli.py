@@ -199,13 +199,13 @@ def integral_cmd(root_system: str, weight: str, fmt: str):
         },
         [
             "root_system\tweight\tdim\ttype\tpositive_roots",
-            f"{rs.describe()}\t{weight_str(w)}\t{sub.dim}\t{type_name or 'unrecognized'}\t"
+            f"{rs.describe()}\t{weight_str(w)}\t{sub.dim}\t{type_name or 'none'}\t"
             + ";".join(weight_str(c) for c in positive),
         ],
         [
             f"integral subsystem of {rs.describe()} at ({weight_str(w)}):",
             f"  dim = {sub.dim}",
-            f"  type = {type_name or 'unrecognized'}",
+            f"  type = {type_name or 'none'}",
             "  positive roots: " + ", ".join(f"({weight_str(c)})" for c in positive),
         ],
     )
@@ -266,7 +266,9 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
         raise UnsupportedType(f"cannot parse --nu {nu_text!r}: {exc}") from None
     ctx = slice_context(orbit_datum(p), nu)
     d = slice_delta(ctx)
+    d_restricted = restrict_to_tQ(d, ctx)
     r0 = rho_zero(ctx)
+    r0_restricted = restrict_to_tQ(r0, ctx)
     even_ok = even_identity_check(ctx) if ctx.orbit.is_even else None
     _emit_table(
         fmt,
@@ -275,21 +277,21 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
             "partition": list(p.parts),
             "nu": weight_json(ctx.nu),
             "delta": weight_json(d),
-            "delta_restricted": weight_json(restrict_to_tQ(d, ctx)),
+            "delta_restricted": weight_json(d_restricted),
             "rho_zero": weight_json(r0),
-            "rho_zero_restricted": weight_json(restrict_to_tQ(r0, ctx)),
+            "rho_zero_restricted": weight_json(r0_restricted),
             "even_identity": even_ok,
         },
         [
             "family\tpartition\tnu\tdelta\tdelta_restricted\trho_zero\teven_identity",
             f"{family}\t{','.join(map(str, p.parts))}\t{weight_str(ctx.nu)}\t{weight_str(d)}\t"
-            f"{weight_str(restrict_to_tQ(d, ctx))}\t{weight_str(r0)}\t{even_ok}",
+            f"{weight_str(d_restricted)}\t{weight_str(r0)}\t{even_ok}",
         ],
         [
             f"{family}_{p.N}, partition {p.parts}, nu = ({weight_str(ctx.nu)}):",
             f"  delta = ({weight_str(d)})",
-            f"  delta|t_Q = ({weight_str(restrict_to_tQ(d, ctx))})",
-            f"  rho_0 = ({weight_str(r0)}), rho_0|t_Q = ({weight_str(restrict_to_tQ(r0, ctx))})",
+            f"  delta|t_Q = ({weight_str(d_restricted)})",
+            f"  rho_0 = ({weight_str(r0)}), rho_0|t_Q = ({weight_str(r0_restricted)})",
             f"  even-orbit identity: {even_ok}",
         ],
     )

@@ -145,26 +145,23 @@ def reductive_centralizer(p: Partition) -> tuple[tuple[tuple[str, int], ...], in
     return tuple(factors), component_order
 
 
-def tQ_embedding(p: Partition) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the slice-torus inclusion t_Q -> t, rows indexed by epsilon coordinates.
+def tQ_embedding(p: Partition) -> tuple[Optional[int], ...]:
+    """The slice-torus inclusion t_Q -> t as a coordinate map.
 
-    Implemented for the sp orbits (2, ..., 2) -- where t_Q is the Cartan of
-    O(n) pairing the coordinates as eta_i -> eps_{2i-1} + eps_{2i} -- and for
-    the zero orbit (1, ..., 1) where t_Q is all of t.
+    Entry i is the eta coordinate that eps_i carries, or None when eps_i is
+    orthogonal to t_Q.  Implemented for the sp orbits (2, ..., 2) -- where t_Q
+    is the Cartan of O(n), eta_j -> eps_{2j} + eps_{2j+1} (0-based), so entry i
+    is i // 2 and an odd leftover coordinate carries None -- and for the zero
+    orbit (1, ..., 1), where t_Q is all of t and entry i is i.
     """
     if p.family != "sp":
         raise UnsupportedOrbit(f"no slice torus implemented for {p.family} orbits")
     rank = p.N // 2
     if all(part == 1 for part in p.parts):
-        return tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(rank)) for i in range(rank)
-        )
+        return tuple(range(rank))
     if all(part == 2 for part in p.parts):
-        n = len(p.parts)
-        m = n // 2
-        return tuple(
-            tuple(Q(1) if i // 2 == j else Q(0) for j in range(m)) for i in range(rank)
-        )
+        m = len(p.parts) // 2
+        return tuple(i // 2 if i < 2 * m else None for i in range(rank))
     raise UnsupportedOrbit(
         f"no slice torus implemented for sp partition {p.parts}; "
         "supported: (2,...,2) and the zero orbit"

@@ -51,23 +51,6 @@ def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
     return int(dim)
 
 
-def enumerate_dominant_in_class(rs: RootSystem, psi: SchurClass, bound: int) -> list[Vec]:
-    """Dominant weights of psi with fundamental-coefficient level <= bound.
-
-    Weights are listed level by level (level = sum of the coefficients in the
-    fundamental-weight basis), lexicographically within a level.
-    """
-    out: list[Vec] = []
-    for level in range(bound + 1):
-        batch = [
-            rs.from_fundamental(coeffs)
-            for coeffs in _level_tuples(level, rs.rank)
-            if class_residue(rs, coeffs) == psi.residue
-        ]
-        out.extend(sorted(batch))
-    return out
-
-
 def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
     """A proven divisor of every dimension in the class psi.
 

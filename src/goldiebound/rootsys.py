@@ -317,9 +317,6 @@ class RootSystem:
             parts.append(part)
         return self._join(parts)
 
-    def weights_equal(self, x: Sequence, y: Sequence) -> bool:
-        return self.canonical(x) == self.canonical(y)
-
     def fundamental_coefficients(self, w: Sequence) -> tuple[Fraction, ...]:
         """Pairings of w with the simple coroots, in simple-root order."""
         w = self._check_dim(w)

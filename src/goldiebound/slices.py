@@ -1,60 +1,81 @@
 """Slice-torus restrictions for nilpotent orbits: the delta shift and friends.
 
-A `SliceContext` fixes an orbit, the embedding t_Q -> t of the torus of the
-reductive centralizer Q, and a generic parameter nu in t_Q.  The negative
-system cut out by nu determines the shift delta; restricting lam - rho - delta
-to t_Q produces the character that drives the dimension bound downstream.
+A `SliceContext` fixes an orbit, the coordinate map t_Q -> t of the torus of
+the reductive centralizer Q, and a generic parameter nu in t_Q.  The negative
+system cut out by nu, computed once per context, determines the shift delta;
+restricting lam - rho - delta to t_Q produces the character that drives the
+dimension bound downstream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NonGenericNu, NotDominant, NotEvenOrbit
 from .nilorbit import OrbitDatum, ambient_root_system, tQ_embedding
-from .rootsys import Q, RootSystem, Vec, vdot, vec, vscale, vsub, weight_str, zero_vec
+from .rootsys import Q, Root, RootSystem, Vec, vdot, vec, vscale, vsub, weight_str, zero_vec
 
 
 @dataclass(frozen=True)
 class SliceContext:
+    """An orbit, its slice torus t_Q and a parameter nu in t_Q.
+
+    `embedding[i]` is the eta coordinate that eps_i carries, or None when eps_i
+    is orthogonal to t_Q (see `nilorbit.tQ_embedding`).
+    """
+
     g: RootSystem
     orbit: OrbitDatum
     nu: Vec
-    embedding: tuple[tuple[Fraction, ...], ...]
+    embedding: tuple[Optional[int], ...]
 
     @property
     def slice_rank(self) -> int:
-        return len(self.embedding[0]) if self.embedding else 0
+        return len(self.nu)
+
+    @cached_property
+    def nu_pairings(self) -> tuple[Fraction, ...]:
+        """<alpha, nu> for each positive root alpha of g, nu read through the embedding."""
+        nu_t = tuple(Q(0) if j is None else self.nu[j] for j in self.embedding)
+        return tuple(vdot(alpha.coords, nu_t) for alpha in self.g.positive_roots)
+
+    @cached_property
+    def negative_system(self) -> tuple[Root, ...]:
+        """The roots of g that pair negatively with nu: one of +-alpha for each
+        positive root alpha that nu does not kill."""
+        return tuple(
+            alpha if v < 0 else alpha.negated()
+            for alpha, v in zip(self.g.positive_roots, self.nu_pairings)
+            if v != 0
+        )
+
+    def nu_centralizer_roots(self) -> list[Root]:
+        """The positive roots that pair to zero with nu."""
+        return [alpha for alpha, v in zip(self.g.positive_roots, self.nu_pairings) if v == 0]
 
 
 def restrict_to_tQ(lam: Sequence, ctx: SliceContext) -> Vec:
-    """Pull a weight on t back to t_Q coordinates through the embedding."""
+    """Pull a weight on t back to t_Q: each coordinate adds into its eta slot."""
     lam = ctx.g._check_dim(lam)
-    return tuple(
-        sum((lam[i] * ctx.embedding[i][j] for i in range(len(lam))), Q(0))
-        for j in range(ctx.slice_rank)
-    )
-
-
-def push_nu(ctx: SliceContext) -> Vec:
-    """The parameter nu as a point of t, via the embedding."""
-    return tuple(
-        sum((ctx.embedding[i][j] * ctx.nu[j] for j in range(ctx.slice_rank)), Q(0))
-        for i in range(ctx.g.ambient_dim)
-    )
+    out = [Q(0)] * ctx.slice_rank
+    for c, j in zip(lam, ctx.embedding):
+        if j is not None:
+            out[j] += c
+    return tuple(out)
 
 
 def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceContext:
     """Build the context, defaulting nu to (m, m-1, ..., 1), and check genericity.
 
     nu is generic when every root that survives restriction to t_Q pairs
-    nonzero with it; otherwise the negative system below would be ambiguous
-    and NonGenericNu is raised.
+    nonzero with it; otherwise the negative system would be ambiguous and
+    NonGenericNu is raised.
     """
     g = ambient_root_system(orbit.partition)
     embedding = tQ_embedding(orbit.partition)
-    m = len(embedding[0]) if embedding else 0
+    m = len(set(embedding) - {None})
     if nu is None:
         nu = tuple(Q(m - i) for i in range(m))
     else:
@@ -62,9 +83,8 @@ def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceCont
         if len(nu) != m:
             raise NonGenericNu(f"nu must have {m} coordinates, got {len(nu)}")
     ctx = SliceContext(g, orbit, nu, embedding)
-    for alpha in g.positive_roots:
-        restricted = restrict_to_tQ(alpha.coords, ctx)
-        if any(c != 0 for c in restricted) and vdot(restricted, nu) == 0:
+    for alpha in ctx.nu_centralizer_roots():
+        if any(restrict_to_tQ(alpha.coords, ctx)):
             raise NonGenericNu(
                 f"root ({weight_str(alpha.coords)}) survives restriction but pairs to zero "
                 f"with nu = ({weight_str(nu)})"
@@ -72,17 +92,12 @@ def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceCont
     return ctx
 
 
-def _negative_system(ctx: SliceContext) -> list:
-    nu_t = push_nu(ctx)
-    return [alpha for alpha in ctx.g.all_roots if vdot(alpha.coords, nu_t) < 0]
-
-
 def delta(ctx: SliceContext) -> Vec:
     """The shift: half the h-degree -1 part plus the full h-degree <= -2 part
     of the nu-negative system."""
     half = zero_vec(ctx.g.ambient_dim)
     whole = zero_vec(ctx.g.ambient_dim)
-    for alpha in _negative_system(ctx):
+    for alpha in ctx.negative_system:
         degree = vdot(alpha.coords, ctx.orbit.h)
         if degree == -1:
             half = tuple(a + b for a, b in zip(half, alpha.coords))
@@ -112,7 +127,7 @@ def even_identity_check(ctx: SliceContext) -> bool:
     if not ctx.orbit.is_even:
         raise NotEvenOrbit(f"partition {ctx.orbit.partition.parts} is not even")
     half_nonzero = zero_vec(ctx.g.ambient_dim)
-    for alpha in _negative_system(ctx):
+    for alpha in ctx.negative_system:
         if vdot(alpha.coords, ctx.orbit.h) != 0:
             half_nonzero = tuple(a + b for a, b in zip(half_nonzero, alpha.coords))
     half_nonzero = vscale(Q(1, 2), half_nonzero)
@@ -123,18 +138,15 @@ def principal_in_nu_centralizer(ctx: SliceContext) -> bool:
     """True when the nu-centralizer is a torus times rank-one factors in which
     the orbit's nilpotent is principal.
 
-    The roots killed by restriction form the semisimple part of z_g(nu).  Each
-    such sp root predicts the Jordan blocks of a principal nilpotent on the
-    natural module (two blocks of size 2 for eps_i - eps_j, one for 2 eps_i);
+    The roots pairing to zero with nu form the semisimple part of z_g(nu);
+    for a generic nu they are the roots killed by restriction.  Each such sp
+    root predicts the Jordan blocks of a principal nilpotent on the natural
+    module (two blocks of size 2 for eps_i - eps_j, one for 2 eps_i);
     untouched coordinates predict size-1 blocks.  The check succeeds when all
     components have rank one and the predicted blocks match the partition.
     """
     n = ctx.g.ambient_dim
-    zero_roots = [
-        alpha.coords
-        for alpha in ctx.g.positive_roots
-        if all(c == 0 for c in restrict_to_tQ(alpha.coords, ctx))
-    ]
+    zero_roots = [alpha.coords for alpha in ctx.nu_centralizer_roots()]
     for i, a in enumerate(zero_roots):
         for b in zero_roots[i + 1 :]:
             if vdot(a, b) != 0:

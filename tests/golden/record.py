@@ -27,6 +27,13 @@ RUNS = [
     ("integral-empty", ["integral", "B2", "1/3,1/5"]),
     ("integral-half", ["integral", "B5", "1/2,1/2,1/2,0,0"]),
     ("delta-nongeneric", ["delta", "sp", "2^4", "--nu", "1,1"]),
+    ("delta-readme", ["delta", "sp", "2^5", "--nu", "2,1"]),
+    ("delta-outside-chamber", ["delta", "sp", "2^4", "--nu", "-8,6"]),
+    ("delta-zero-orbit", ["delta", "sp", "1^6"]),
+    ("delta-unsupported", ["delta", "sp", "4,2"]),
+    ("orbit-readme", ["orbit", "sp", "2^4"]),
+    ("dim-readme", ["dim", "B3", "1/2,1/2,1/2"]),
+    ("orbit-size-readme", ["orbit-size", "B3", "1/2,1/2,1/2"]),
 ]
 for command in ("dpsi", "index"):
     RUNS += [

@@ -4,11 +4,14 @@ Everything here recomputes results from first principles by brute force:
 explicit signed-permutation Weyl groups, Freudenthal's multiplicity recursion,
 coordinate-box lattice scans, and exact linear algebra on honest matrices for
 centralizers of nilpotents.  None of it shares code paths with the library
-beyond the basic vector helpers, with one exception: the last section keeps
-two searches the library replaced by closed forms, the Dynkin-diagram
-recognizer of integral subsystems and the support walk behind the class
-certificate, as referees.  They take root systems and the P/Q class tables
-from the library and nothing else.
+beyond the basic vector helpers, with two exceptions.  The section on
+library forms keeps what the library no longer carries: the dense 0/1 matrix
+of the slice-torus inclusion t_Q -> t with its matrix products, the
+level-by-level class enumerator and gauge-blind weight equality.  The last
+section keeps two searches the library replaced by closed forms, the
+Dynkin-diagram recognizer of integral subsystems and the support walk behind
+the class certificate, as referees.  They take root systems, partitions and
+the P/Q class tables from the library and nothing else.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from fractions import Fraction
 from typing import Optional
 
 from goldiebound.errors import NotDivisible
-from goldiebound.lattice import SchurClass, class_group
+from goldiebound.lattice import SchurClass, _level_tuples, class_group, class_residue
+from goldiebound.nilorbit import Partition
 from goldiebound.rootsys import RootSystem, Vec, coroot_pairing, rational_str, vdot, vsub
 
 Q = Fraction
@@ -204,6 +208,62 @@ def scan_dominant_in_product_class(rs, member: tuple, bounds: list[int]) -> list
         for (family, rank, offset, dim), bound in zip(rs.blocks, bounds)
     ]
     return [sum(parts, ()) for parts in itertools.product(*blocks)]
+
+
+# -- library forms kept for the tests ------------------------------------------
+
+
+def dense_tQ_embedding(p: Partition) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of the slice-torus inclusion t_Q -> t, rows indexed by epsilon coordinates.
+
+    For the sp orbit (2, ..., 2), eta_j -> eps_{2j} + eps_{2j+1} (0-based),
+    and an odd leftover coordinate is orthogonal to t_Q; for the zero orbit
+    t_Q is all of t.
+    """
+    if p.family != "sp":
+        raise ValueError(f"no slice torus for {p.family} partitions")
+    rank = p.N // 2
+    if all(part == 1 for part in p.parts):
+        return tuple(tuple(Q(int(i == j)) for j in range(rank)) for i in range(rank))
+    if any(part != 2 for part in p.parts):
+        raise ValueError(f"no slice torus for {p.family} partition {p.parts}")
+    m = len(p.parts) // 2
+    return tuple(tuple(Q(int(i // 2 == j)) for j in range(m)) for i in range(rank))
+
+
+def dense_restrict(lam: tuple, matrix) -> tuple:
+    """Pull a weight on t back to t_Q: the product lam * matrix."""
+    columns = len(matrix[0]) if matrix else 0
+    return tuple(
+        sum((lam[i] * matrix[i][j] for i in range(len(lam))), Q(0)) for j in range(columns)
+    )
+
+
+def dense_push_nu(nu: tuple, matrix) -> tuple:
+    """The parameter nu as a point of t: the product matrix * nu."""
+    return tuple(sum((row[j] * nu[j] for j in range(len(nu))), Q(0)) for row in matrix)
+
+
+def enumerate_dominant_in_class(rs: RootSystem, psi: SchurClass, bound: int) -> list[Vec]:
+    """Dominant weights of psi with fundamental-coefficient level <= bound.
+
+    Weights are listed level by level (level = sum of the coefficients in the
+    fundamental-weight basis), lexicographically within a level.
+    """
+    out: list[Vec] = []
+    for level in range(bound + 1):
+        batch = [
+            rs.from_fundamental(coeffs)
+            for coeffs in _level_tuples(level, rs.rank)
+            if class_residue(rs, coeffs) == psi.residue
+        ]
+        out.extend(sorted(batch))
+    return out
+
+
+def weights_equal(rs: RootSystem, x, y) -> bool:
+    """Equality of weights, blind to the all-ones direction of each A-block."""
+    return rs.canonical(x) == rs.canonical(y)
 
 
 # -- Freudenthal dimension oracle ----------------------------------------------

@@ -247,7 +247,7 @@ def test_criterion_8_property_suites():
             verified += 1
     assert verified == 10  # (2^n) and (1^(2n)) for n = 2..6
     datum = orbit_datum(validate_partition("sp", (2,) * 4))
-    scrambled = ((Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(0)), (Q(0), Q(1)))
+    scrambled = (0, 1, 0, 1)
     ctx = SliceContext(build([("C", 4)]), datum, (Q(2), Q(1)), scrambled)
     assert not even_identity_check(ctx)
     return (

@@ -9,7 +9,6 @@ import pytest
 from goldiebound import (
     build,
     d_psi,
-    enumerate_dominant_in_class,
     orbit_certificate,
     schur_class_of,
     trivial_class,
@@ -19,6 +18,7 @@ from goldiebound.errors import BudgetExceeded, NotDominant, NotInWeightLattice, 
 
 from oracles import (
     brute_orbit,
+    enumerate_dominant_in_class,
     freudenthal_dim,
     scan_dominant_in_class,
     scan_dominant_in_product_class,

@@ -1,4 +1,5 @@
 """Slice-torus restrictions: delta shifts, the even identity, and verdicts."""
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -19,8 +20,9 @@ from goldiebound import (
     validate_partition,
 )
 from goldiebound.errors import NonGenericNu, NotDominant
-from goldiebound.repdim import enumerate_dominant_in_class
-from goldiebound.rootsys import vadd, vscale
+from goldiebound.rootsys import vadd, vdot, vscale
+
+from oracles import dense_push_nu, dense_restrict, dense_tQ_embedding, enumerate_dominant_in_class
 
 
 def two_row_context(n, nu=None):
@@ -52,6 +54,31 @@ def test_zero_orbit_has_zero_delta():
         ctx = zero_orbit_context(n)
         assert delta(ctx) == (Q(0),) * n
         assert restrict_to_tQ(ctx.g.rho, ctx) == ctx.g.rho
+
+
+def _dense_contexts():
+    for n in range(2, 17):
+        yield two_row_context(n)
+    for n in range(2, 9):
+        yield zero_orbit_context(n)
+    for n in range(4, 7):
+        m = n // 2
+        for perm in itertools.permutations(range(1, m + 1)):
+            for signs in itertools.product((1, -1), repeat=m):
+                yield two_row_context(n, nu=tuple(s * v for s, v in zip(signs, perm)))
+
+
+def test_coordinate_map_matches_dense_embedding():
+    # the map's restriction and nu-negative sign equal the dense 0/1 products,
+    # root by root
+    for ctx in _dense_contexts():
+        matrix = dense_tQ_embedding(ctx.orbit.partition)
+        nu_t = dense_push_nu(ctx.nu, matrix)
+        negative = {alpha.coords for alpha in ctx.negative_system}
+        assert len(negative) == len(ctx.negative_system)
+        for alpha in ctx.g.all_roots:
+            assert restrict_to_tQ(alpha.coords, ctx) == dense_restrict(alpha.coords, matrix)
+            assert (alpha.coords in negative) == (vdot(alpha.coords, nu_t) < 0), alpha
 
 
 # -- restriction goldens ---------------------------------------------------------
@@ -113,12 +140,7 @@ def test_even_identity_fails_for_scrambled_embedding():
     # interleave the torus embedding (eta_1 -> eps_1 + eps_3) so that it no
     # longer matches the grading; the identity must then break
     datum = orbit_datum(validate_partition("sp", (2,) * 4))
-    scrambled = (
-        (Q(1), Q(0)),
-        (Q(0), Q(1)),
-        (Q(1), Q(0)),
-        (Q(0), Q(1)),
-    )
+    scrambled = (0, 1, 0, 1)
     ctx = SliceContext(build([("C", 4)]), datum, (Q(2), Q(1)), scrambled)
     assert not even_identity_check(ctx)
 
@@ -136,7 +158,7 @@ def test_principal_check_fails_when_blocks_mismatch():
     # full-torus embedding kills no roots, so the predicted Jordan type is
     # (1, 1, 1, 1), not (2, 2)
     datum = orbit_datum(validate_partition("sp", (2, 2)))
-    identity = ((Q(1), Q(0)), (Q(0), Q(1)))
+    identity = (0, 1)
     ctx = SliceContext(build([("C", 2)]), datum, (Q(2), Q(1)), identity)
     assert not principal_in_nu_centralizer(ctx)
 
@@ -145,7 +167,7 @@ def test_principal_check_fails_for_higher_rank_kernel():
     # a rank-one torus inside C3 leaves the non-orthogonal pair
     # eps_2 - eps_3, 2 eps_2 in the kernel of restriction
     datum = orbit_datum(validate_partition("sp", (2, 2, 1, 1)))
-    line = ((Q(1),), (Q(0),), (Q(0),))
+    line = (0, None, None)
     ctx = SliceContext(build([("C", 3)]), datum, (Q(1),), line)
     assert not principal_in_nu_centralizer(ctx)
 
