@@ -75,6 +75,40 @@ _format_option = click.option(
 _retired_option = click.option("--window", type=int, hidden=True, expose_value=False)
 
 
+class _WeightCommand(click.Command):
+    """A command whose WEIGHT may start with a minus sign, as in `-1,2`.
+
+    Click reads any token that starts with '-' as an option.  Before parsing,
+    the tokens are regrouped as options with their values, then '--', then the
+    arguments in order; a token is an argument when it is not an option value
+    and either does not start with '-' or starts with '-' and a digit.  A
+    misspelled option stays among the options, so it is still a usage error.
+    """
+
+    def parse_args(self, ctx, args):
+        takes_value = {
+            name
+            for param in self.params
+            if isinstance(param, click.Option) and not param.is_flag
+            for name in param.opts
+        }
+        options, arguments = [], []
+        rest = iter(args)
+        for arg in rest:
+            if arg == "--":
+                arguments.extend(rest)
+            elif arg[:1] != "-" or arg[1:2].isdigit():
+                arguments.append(arg)
+            else:
+                options.append(arg)
+                if arg in takes_value:
+                    value = next(rest, None)
+                    if value is None:  # let click report the missing value
+                        return super().parse_args(ctx, args)
+                    options.append(value)
+        return super().parse_args(ctx, options + ["--"] + arguments)
+
+
 def _emit_table(fmt: str, payload, tsv_lines, pretty_lines):
     if fmt == "json":
         click.echo(canonical_json(payload))
@@ -91,7 +125,7 @@ def main():
     """Exact Goldie-rank bounds from Lie-theoretic combinatorics."""
 
 
-@main.command("dim")
+@main.command("dim", cls=_WeightCommand)
 @click.argument("root_system")
 @click.argument("weight")
 @_format_option
@@ -109,7 +143,7 @@ def dim_cmd(root_system: str, weight: str, fmt: str):
     )
 
 
-@main.command("orbit-size")
+@main.command("orbit-size", cls=_WeightCommand)
 @click.argument("root_system")
 @click.argument("weight")
 @_format_option
@@ -137,7 +171,7 @@ def orbit_size_cmd(root_system: str, weight: str, fmt: str):
 
 
 def _dpsi_command(name: str, doc: str):
-    @main.command(name, help=doc)
+    @main.command(name, cls=_WeightCommand, help=doc)
     @click.argument("root_system")
     @click.argument("weight")
     @click.option("--bound", type=int, default=None, help="Enumeration level bound.")
@@ -176,7 +210,7 @@ _dpsi_command("dpsi", "GCD of irreducible dimensions over the root-lattice coset
 _dpsi_command("index", "Azumaya index of the class of WEIGHT (same invariant as dpsi).")
 
 
-@main.command("integral")
+@main.command("integral", cls=_WeightCommand)
 @click.argument("root_system")
 @click.argument("weight")
 @_format_option

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedType,
 )
 from .lattice import SchurClass, class_group, class_residue, in_weight_lattice, _level_tuples
-from .rootsys import Q, RootSystem, Vec, coroot_pairing, weight_str
+from .rootsys import RootSystem, Vec, weight_str
 
 CERTIFIED = "certified"
 
@@ -31,8 +31,26 @@ DEFAULT_BOUND = 8
 DEFAULT_NODE_LIMIT = 200_000
 
 
+def _doubled(w: Vec) -> list[int]:
+    """2 w as integers; every weight and rho has half-integral coordinates."""
+    out = []
+    for c in w:
+        twice, rem = divmod(2 * c.numerator, c.denominator)
+        if rem:
+            raise InvariantViolation(f"2 ({weight_str(w)}) is not an integer vector")
+        out.append(twice)
+    return out
+
+
 def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
-    """Dimension of the irreducible module with dominant highest weight lam."""
+    """Dimension of the irreducible module with dominant highest weight lam.
+
+    Weyl's formula as one integer product over the positive roots alpha,
+    prod (2 lam + 2 rho, alpha) / prod (2 rho, alpha), with one exact division
+    at the end (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 24.3).  The coroot scale 2 / (alpha, alpha) cancels root by root,
+    and each pairing reads the two coordinates of the root's support.
+    """
     lam = rs.canonical(lam)
     if not rs.is_dominant(lam):
         raise NotDominant(f"({weight_str(lam)}) is not dominant for {rs.describe()}")
@@ -40,15 +58,18 @@ def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
         raise NotInWeightLattice(
             f"({weight_str(lam)}) is not in the weight lattice of {rs.describe()}"
         )
-    shifted = rs.canonical(tuple(a + b for a, b in zip(lam, rs.rho)))
-    dim = Q(1)
+    two_rho = _doubled(rs.rho)
+    shifted = [a + b for a, b in zip(_doubled(lam), two_rho)]
+    numerator = denominator = 1
     for alpha in rs.positive_roots:
-        dim *= coroot_pairing(shifted, alpha) / coroot_pairing(rs.rho, alpha)
-    if dim.denominator != 1:
+        numerator *= sum(c * shifted[i] for i, c in alpha.support)
+        denominator *= sum(c * two_rho[i] for i, c in alpha.support)
+    dim, rem = divmod(numerator, denominator)
+    if rem:
         raise NotDivisible(f"the Weyl product for ({weight_str(lam)}) is not an integer")
     if dim <= 0:
         raise InvariantViolation(f"the Weyl product for ({weight_str(lam)}) is not positive")
-    return int(dim)
+    return dim
 
 
 def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:

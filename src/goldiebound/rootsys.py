@@ -3,6 +3,8 @@
 Weights and roots are tuples of `Fraction` in the standard orthonormal basis
 (epsilon coordinates).  An A_n factor occupies n+1 coordinates whose weights
 are read modulo the all-ones vector; B_n/C_n/D_n factors occupy n coordinates.
+Each root also carries its support: its at most two nonzero coordinates, as
+(index, integer coefficient) pairs.
 """
 from __future__ import annotations
 
@@ -79,89 +81,83 @@ def weight_str(w: Sequence) -> str:
 
 
 class Root(NamedTuple):
-    """A root: its coordinate vector, sign, and length class.
+    """A root: its coordinate vector, its sign and its support.
 
-    ``length`` is "long" or "short" in types B/C and None in the simply laced
-    types A/D where all roots have the same length.
+    ``support`` lists the root's nonzero epsilon coordinates as (index,
+    integer coefficient) pairs, for example ((i, 1), (j, -1)) for e_i - e_j or
+    ((i, 2),) for the long root 2 e_i of type C.  Every classical root has at
+    most two, so a pairing with a root reads at most two coordinates.
     """
 
     coords: Vec
     positive: bool
-    length: Optional[str]
+    support: tuple[tuple[int, int], ...]
 
     def negated(self) -> "Root":
-        return Root(tuple(-c for c in self.coords), not self.positive, self.length)
+        return Root(
+            tuple(-c for c in self.coords),
+            not self.positive,
+            tuple((i, -c) for i, c in self.support),
+        )
 
 
 def coroot_pairing(lam: Vec, alpha: Union[Root, Vec]) -> Fraction:
-    """Evaluate <lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
-    coords = alpha.coords if isinstance(alpha, Root) else alpha
-    return 2 * vdot(lam, coords) / vdot(coords, coords)
+    """Evaluate <lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha).
+
+    A `Root` is paired through its support; a plain vector over the whole rank.
+    """
+    if not isinstance(alpha, Root):
+        return 2 * vdot(lam, alpha) / vdot(alpha, alpha)
+    if len(lam) != len(alpha.coords):
+        raise DimensionMismatch(
+            f"cannot pair vectors of length {len(lam)} and {len(alpha.coords)}"
+        )
+    # (lam, alpha) = num / den in integers; only the result is built as a Fraction
+    num, den, norm = 0, 1, 0
+    for i, c in alpha.support:
+        x = lam[i]
+        num, den = num * x.denominator + c * x.numerator * den, den * x.denominator
+        norm += c * c
+    return Q(2 * num, den * norm)
 
 
-def _block_positive_roots(family: str, rank: int, dim: int) -> list[tuple[Vec, Optional[str]]]:
-    roots: list[tuple[Vec, Optional[str]]] = []
-
-    def unit(i: int) -> list[Fraction]:
-        e = [Q(0)] * dim
-        e[i] = Q(1)
-        return e
-
+def _block_positive_roots(family: str, rank: int, dim: int) -> list[tuple[tuple[int, int], ...]]:
+    """The supports of one factor's positive roots, in block coordinates."""
     if family == "A":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                e = unit(i)
-                e[j] = Q(-1)
-                roots.append((tuple(e), None))
-        return roots
-
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            minus = unit(i)
-            minus[j] = Q(-1)
-            plus = unit(i)
-            plus[j] = Q(1)
-            length = "long" if family == "B" else ("short" if family == "C" else None)
-            roots.append((tuple(minus), length))
-            roots.append((tuple(plus), length))
-    if family == "B":
-        for i in range(rank):
-            roots.append((tuple(unit(i)), "short"))
-    elif family == "C":
-        for i in range(rank):
-            e = unit(i)
-            e[i] = Q(2)
-            roots.append((tuple(e), "long"))
+        return [((i, 1), (j, -1)) for i in range(dim) for j in range(i + 1, dim)]
+    roots = [
+        support
+        for i in range(rank)
+        for j in range(i + 1, rank)
+        for support in (((i, 1), (j, -1)), ((i, 1), (j, 1)))
+    ]
+    if family in ("B", "C"):
+        roots.extend(((i, 1 if family == "B" else 2),) for i in range(rank))
     return roots
 
 
-def _block_simple_roots(family: str, rank: int, dim: int) -> list[Vec]:
-    simple: list[Vec] = []
-
-    def unit(i: int) -> list[Fraction]:
-        e = [Q(0)] * dim
-        e[i] = Q(1)
-        return e
-
-    for i in range(rank - 1):
-        e = unit(i)
-        e[i + 1] = Q(-1)
-        simple.append(tuple(e))
+def _block_simple_roots(family: str, rank: int) -> list[tuple[tuple[int, int], ...]]:
+    """The supports of one factor's simple roots, in block coordinates."""
+    simple = [((i, 1), (i + 1, -1)) for i in range(rank - 1)]
     if family == "A":
-        e = unit(rank - 1)
-        e[rank] = Q(-1)
-        simple.append(tuple(e))
+        simple.append(((rank - 1, 1), (rank, -1)))
     elif family == "B":
-        simple.append(tuple(unit(rank - 1)))
+        simple.append(((rank - 1, 1),))
     elif family == "C":
-        e = unit(rank - 1)
-        e[rank - 1] = Q(2)
-        simple.append(tuple(e))
-    elif family == "D":
-        e = unit(rank - 2)
-        e[rank - 1] = Q(1)
-        simple.append(tuple(e))
+        simple.append(((rank - 1, 2),))
+    else:
+        simple.append(((rank - 2, 1), (rank - 1, 1)))
     return simple
+
+
+def _block_rho(family: str, rank: int) -> list[Fraction]:
+    if family == "A":
+        return [Q(rank - 2 * i, 2) for i in range(rank + 1)]
+    if family == "B":
+        return [Q(2 * (rank - i) - 1, 2) for i in range(rank)]
+    if family == "C":
+        return [Q(rank - i) for i in range(rank)]
+    return [Q(rank - 1 - i) for i in range(rank)]
 
 
 def _block_fundamental_weights(family: str, rank: int, dim: int) -> list[Vec]:
@@ -259,11 +255,14 @@ class RootSystem:
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         roots: list[Root] = []
+        zero = Q(0)
         for family, rank, offset, dim in self.blocks:
-            pad_left = (Q(0),) * offset
-            pad_right = (Q(0),) * (self.ambient_dim - offset - dim)
-            for coords, length in _block_positive_roots(family, rank, dim):
-                roots.append(Root(pad_left + coords + pad_right, True, length))
+            for support in _block_positive_roots(family, rank, dim):
+                support = tuple((offset + i, c) for i, c in support)
+                coords = [zero] * self.ambient_dim
+                for i, c in support:
+                    coords[i] = Q(c)
+                roots.append(Root(tuple(coords), True, support))
         return tuple(roots)
 
     @cached_property
@@ -272,22 +271,19 @@ class RootSystem:
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:
-        simple: list[Root] = []
-        positive = {r.coords: r for r in self.positive_roots}
-        for family, rank, offset, dim in self.blocks:
-            pad_left = (Q(0),) * offset
-            pad_right = (Q(0),) * (self.ambient_dim - offset - dim)
-            for coords in _block_simple_roots(family, rank, dim):
-                simple.append(positive[pad_left + coords + pad_right])
-        return tuple(simple)
+        positive = {r.support: r for r in self.positive_roots}
+        return tuple(
+            positive[tuple((offset + i, c) for i, c in support)]
+            for family, rank, offset, _ in self.blocks
+            for support in _block_simple_roots(family, rank)
+        )
 
     @cached_property
     def rho(self) -> Vec:
-        """Half the sum of the positive roots."""
-        total = zero_vec(self.ambient_dim)
-        for r in self.positive_roots:
-            total = vadd(total, r.coords)
-        return vscale(Q(1, 2), total)
+        """Half the sum of the positive roots, in closed form per factor:
+        (n/2, n/2 - 1, ..., -n/2) for A_n, (n - 1/2, ..., 1/2) for B_n,
+        (n, ..., 1) for C_n and (n - 1, ..., 0) for D_n."""
+        return self._join(_block_rho(family, rank) for family, rank in self.factors)
 
     @cached_property
     def fundamental_weights(self) -> tuple[Vec, ...]:

@@ -44,6 +44,28 @@ for command in ("dpsi", "index"):
     ]
 RUNS += [(f"premet-{n}", ["premet", str(n)]) for n in range(3, 9)]
 RUNS += [("table-premet-3-8", ["table", "premet", "--from", "3", "--to", "8"])]
+RUNS += [
+    ("dim-A35", ["dim", "A35", "fw:[1" + ",0" * 33 + ",2]"]),
+    ("dim-D30", ["dim", "D30", "fw:[1" + ",0" * 28 + ",2]"]),
+    ("dim-A2xD4", ["dim", "A2xD4", "fw:[1,1,0,0,0,1]"]),
+    ("dim-not-dominant", ["dim", "B2", "0,1"]),
+    ("dim-not-in-lattice", ["dim", "C2", "1/2,1/2"]),
+    # exit 3: the d(psi) budget runs out before the certificate is met
+    ("dpsi-budget", ["dpsi", "A3", "1,1,0,0", "--bound", "1"]),
+    ("index-budget", ["index", "A3", "1,1,0,0", "--bound", "1"]),
+    ("premet-budget", ["premet", "5", "--bound", "0"]),
+    # exit 2: invalid input
+    ("orbit-invalid", ["orbit", "sp", "3,1"]),
+    ("orbit-size-mismatch", ["orbit-size", "B2", "1,2,3"]),
+    ("integral-mismatch", ["integral", "B2", "1/2"]),
+    ("dpsi-negative-bound", ["dpsi", "B2", "1/2,1/2", "--bound", "-1"]),
+    ("premet-too-small", ["premet", "2"]),
+    ("table-premet-too-small", ["table", "premet", "--from", "2", "--to", "4"]),
+    ("table-premet-3-16", ["table", "premet", "--from", "3", "--to", "16"]),
+    # a weight with a leading minus sign is an argument, not an option
+    ("orbit-size-negative", ["orbit-size", "B2", "-1,2"]),
+    ("integral-negative", ["integral", "B2", "-1/3,0"]),
+]
 
 
 def replay(args: list[str]):

@@ -2,28 +2,45 @@
 
 Everything here recomputes results from first principles by brute force:
 explicit signed-permutation Weyl groups, Freudenthal's multiplicity recursion,
-coordinate-box lattice scans, and exact linear algebra on honest matrices for
-centralizers of nilpotents.  None of it shares code paths with the library
-beyond the basic vector helpers, with two exceptions.  The section on
-library forms keeps what the library no longer carries: the dense 0/1 matrix
-of the slice-torus inclusion t_Q -> t with its matrix products, the
-level-by-level class enumerator and gauge-blind weight equality.  The last
-section keeps two searches the library replaced by closed forms, the
+Weyl's product in `Fraction`s over dense coordinates, coordinate-box lattice
+scans, and exact linear algebra on honest matrices for centralizers of
+nilpotents.  None of it shares code paths with the library beyond the basic
+vector helpers, with two exceptions.  The section on library forms keeps
+what the library no longer carries: the dense 0/1 matrix of the slice-torus
+inclusion t_Q -> t with its matrix products, the level-by-level class
+enumerator, gauge-blind weight equality and the long and short root classes.
+The last section keeps two searches the library replaced by closed forms, the
 Dynkin-diagram recognizer of integral subsystems and the support walk behind
 the class certificate, as referees.  They take root systems, partitions and
 the P/Q class tables from the library and nothing else.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
-from goldiebound.errors import NotDivisible
-from goldiebound.lattice import SchurClass, _level_tuples, class_group, class_residue
+from goldiebound.errors import NotDivisible, NotDominant, NotInWeightLattice
+from goldiebound.lattice import (
+    SchurClass,
+    _level_tuples,
+    class_group,
+    class_residue,
+    in_weight_lattice,
+)
 from goldiebound.nilorbit import Partition
-from goldiebound.rootsys import RootSystem, Vec, coroot_pairing, rational_str, vdot, vsub
+from goldiebound.rootsys import (
+    Root,
+    RootSystem,
+    Vec,
+    coroot_pairing,
+    rational_str,
+    vdot,
+    vsub,
+    weight_str,
+)
 
 Q = Fraction
 
@@ -266,6 +283,16 @@ def weights_equal(rs: RootSystem, x, y) -> bool:
     return rs.canonical(x) == rs.canonical(y)
 
 
+def root_length(rs: RootSystem, alpha: Root) -> Optional[str]:
+    """"long" or "short" in types B and C, None in the simply laced types A and D."""
+    index = next(i for i, c in enumerate(alpha.coords) if c)
+    family = next(f for f, _, offset, dim in rs.blocks if offset <= index < offset + dim)
+    if family in ("A", "D"):
+        return None
+    longest = 2 if family == "B" else 4
+    return "long" if vdot(alpha.coords, alpha.coords) == longest else "short"
+
+
 # -- Freudenthal dimension oracle ----------------------------------------------
 
 
@@ -358,6 +385,33 @@ def freudenthal_dim(rs, lam) -> int:
     return sum(m * len(brute_orbit(rs, mu)) for mu, m in mults.items())
 
 
+def fraction_weyl_dim(rs, lam) -> int:
+    """Weyl's product of coroot pairings in `Fraction`s, over dense coordinates.
+
+    rho is half the sum of the positive roots' coordinates, and each pairing is
+    a dot product over the whole rank, so neither the roots' supports nor the
+    closed form of rho enters.
+    """
+    lam = rs.canonical(lam)
+    if not rs.is_dominant(lam):
+        raise NotDominant(f"({weight_str(lam)}) is not dominant for {rs.describe()}")
+    if not in_weight_lattice(rs, lam):
+        raise NotInWeightLattice(
+            f"({weight_str(lam)}) is not in the weight lattice of {rs.describe()}"
+        )
+    rho = (Q(0),) * rs.ambient_dim
+    for alpha in rs.positive_roots:
+        rho = _vadd(rho, alpha.coords)
+    rho = tuple(c / 2 for c in rho)
+    shifted = _vadd(lam, rho)
+    dim = Q(1)
+    for alpha in rs.positive_roots:
+        dim *= coroot_pairing(shifted, alpha.coords) / coroot_pairing(rho, alpha.coords)
+    if dim.denominator != 1:
+        raise NotDivisible(f"the Weyl product for ({weight_str(lam)}) is not an integer")
+    return int(dim)
+
+
 # -- honest matrix centralizers -----------------------------------------------
 
 
@@ -443,8 +497,12 @@ def _mat_mul(A, B):
     return [[sum((A[i][k] * B[k][j] for k in range(n)), Q(0)) for j in range(n)] for i in range(n)]
 
 
+@functools.cache
 def centralizer_dims_by_matrices(family: str, parts: tuple):
-    """(dim g, dim z_g(e), dim z_g(e) in degree 0) by exact nullspace counts."""
+    """(dim g, dim z_g(e), dim z_g(e) in degree 0) by exact nullspace counts.
+
+    Cached: two test modules check every partition with N <= 8 against it.
+    """
     e, J = nilpotent_and_form(family, parts)
     n = len(e)
     # Constraint rows: one per matrix entry of X^T J + J X and of X e - e X.

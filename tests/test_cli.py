@@ -105,6 +105,18 @@ def test_negative_bound_is_a_usage_error():
     assert run("premet", "3", env={"GOLDIEBOUND_DPSI_BOUND": "-2"}).exit_code == 2
 
 
+def test_weight_may_start_with_a_minus_sign():
+    for command in ("dim", "orbit-size", "integral", "dpsi", "index"):
+        with_dash = run(command, "A2", "-1,-2,-3", "--format", "json")
+        assert with_dash.exit_code == 0, with_dash.output
+        assert with_dash.output == run(command, "A2", "--format", "json", "--", "-1,-2,-3").output
+    assert run("dpsi", "A2", "--bound", "-1", "-1,0,1").exit_code == 2  # the bound, not the weight
+    misspelled = run("dim", "B2", "1,0", "--formt", "json")
+    assert misspelled.exit_code == 2 and "No such option '--formt'" in misspelled.output
+    missing = run("dpsi", "B2", "1/2,1/2", "--bound")
+    assert missing.exit_code == 2 and "requires an argument" in missing.output
+
+
 def test_window_is_accepted_and_ignored():
     plain = run("dpsi", "A2", "1,0,0", "--bound", "2", "--format", "json")
     windowed = run("dpsi", "A2", "1,0,0", "--bound", "2", "--window", "0", "--format", "json")

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldiebound import (
     build,
@@ -19,6 +21,7 @@ from goldiebound.errors import BudgetExceeded, NotDominant, NotInWeightLattice, 
 from oracles import (
     brute_orbit,
     enumerate_dominant_in_class,
+    fraction_weyl_dim,
     freudenthal_dim,
     scan_dominant_in_class,
     scan_dominant_in_product_class,
@@ -62,6 +65,40 @@ def test_weyl_dim_matches_freudenthal():
     ]
     for rs, lam in cases:
         assert weyl_dim(rs, lam) == freudenthal_dim(rs, lam), (rs.describe(), lam)
+
+
+REFEREE_SYSTEMS = (
+    [build("A", n) for n in range(1, 9)]
+    + [build(family, n) for family in ("B", "C") for n in range(2, 9)]
+    + [build("D", n) for n in range(3, 9)]
+    + [
+        build([("A", 2), ("D", 4)]),
+        build([("B", 3), ("C", 2)]),
+        build([("A", 1), ("A", 1)]),
+        build([("C", 3), ("D", 4)]),
+        build([("D", 5), ("B", 2)]),
+    ]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_weyl_dim_matches_fraction_product(data):
+    rs = data.draw(st.sampled_from(REFEREE_SYSTEMS), label="root system")
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=rs.rank, max_size=rs.rank))
+    lam = rs.from_fundamental(coeffs)
+    assert weyl_dim(rs, lam) == fraction_weyl_dim(rs, lam)
+
+
+@pytest.mark.parametrize(
+    "family,rank,coeffs",
+    [("A", 35, {0: 1, 17: 1, 34: 2}), ("D", 30, {0: 1, 14: 1, 29: 2})],
+    ids=["A35", "D30"],
+)
+def test_weyl_dim_matches_fraction_product_at_high_rank(family, rank, coeffs):
+    rs = build(family, rank)
+    lam = rs.from_fundamental([coeffs.get(i, 0) for i in range(rank)])
+    assert weyl_dim(rs, lam) == fraction_weyl_dim(rs, lam)
 
 
 def test_weyl_dim_integrality_on_random_dominant_weights():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from goldiebound import build, coroot_pairing
 from goldiebound.errors import DimensionMismatch, NotDominant, UnsupportedType
 
-from oracles import brute_orbit, weights_equal, weyl_apply, weyl_elements
+from oracles import brute_orbit, root_length, weights_equal, weyl_apply, weyl_elements
 
 SMALL_SYSTEMS = [
     build("A", 1),
@@ -81,12 +81,13 @@ def test_c3_contains_long_root():
     rs = build("C", 3)
     coords = {r.coords for r in rs.positive_roots}
     assert (Q(2), Q(0), Q(0)) in coords
-    lengths = {r.length for r in rs.positive_roots}
+    lengths = {root_length(rs, r) for r in rs.positive_roots}
     assert lengths == {"long", "short"}
 
 
 def test_d_roots_have_no_length_classes():
-    assert {r.length for r in build("D", 3).positive_roots} == {None}
+    rs = build("D", 3)
+    assert {root_length(rs, r) for r in rs.positive_roots} == {None}
 
 
 def test_all_roots_closed_under_negation():
