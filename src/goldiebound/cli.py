@@ -1,24 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on validation/domain errors (including usage and
-a negative bound), 3 when the d(psi) enumeration budget runs out before its
-witnesses meet the orbit certificate; the message states the proven interval.
-The default d(psi) enumeration bound can be set with GOLDIEBOUND_DPSI_BOUND.
+Exit codes: 0 on success, 2 on validation/domain errors (including usage).
+The retired options --bound and --window are accepted and ignored.
 """
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from fractions import Fraction
 
 import click
 
-from .errors import BudgetExceeded, GoldieBoundError, UnsupportedType
+from .errors import GoldieBoundError, UnsupportedType
 from .lattice import integral_subsystem, schur_class_of
-from .nilorbit import h_and_grading, orbit_datum, validate_partition
+from .nilorbit import orbit_datum, validate_partition
 from .pipeline import premet_example, premet_table
-from .repdim import DEFAULT_BOUND, d_psi, weyl_dim
+from .repdim import d_psi, weyl_dim
 from .serialize import (
     canonical_json,
     dpsi_json,
@@ -29,21 +26,8 @@ from .serialize import (
     weight_json,
     weight_str,
 )
-from .slices import delta as slice_delta
 from .slices import even_identity_check, rho_zero, restrict_to_tQ, slice_context
 from .syntax import parse_partition, parse_root_system, parse_weight
-
-ENV_BOUND = "GOLDIEBOUND_DPSI_BOUND"
-
-
-def _default_bound() -> int:
-    raw = os.environ.get(ENV_BOUND)
-    if raw is None or not raw.strip():
-        return DEFAULT_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise UnsupportedType(f"{ENV_BOUND} must be an integer, got {raw!r}") from None
 
 
 def _guard(fn):
@@ -51,9 +35,6 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except BudgetExceeded as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
         except GoldieBoundError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -70,9 +51,11 @@ _format_option = click.option(
     help="Output format.",
 )
 
-# Accepted and ignored, so that older command lines keep working: d_psi no
-# longer takes this parameter.
-_retired_option = click.option("--window", type=int, hidden=True, expose_value=False)
+
+def _retired_option(name: str):
+    """An integer option that d_psi no longer takes, accepted and ignored so
+    that older command lines keep working."""
+    return click.option(name, type=int, hidden=True, expose_value=False)
 
 
 class _WeightCommand(click.Command):
@@ -174,15 +157,15 @@ def _dpsi_command(name: str, doc: str):
     @main.command(name, cls=_WeightCommand, help=doc)
     @click.argument("root_system")
     @click.argument("weight")
-    @click.option("--bound", type=int, default=None, help="Enumeration level bound.")
-    @_retired_option
+    @_retired_option("--bound")
+    @_retired_option("--window")
     @_format_option
     @_guard
-    def cmd(root_system: str, weight: str, bound, fmt: str):
+    def cmd(root_system: str, weight: str, fmt: str):
         rs = parse_root_system(root_system)
         w = parse_weight(weight, rs)
         psi = schur_class_of(rs, w)
-        result = d_psi(rs, psi, bound=bound if bound is not None else _default_bound())
+        result = d_psi(rs, psi)
         payload = {
             "root_system": rs.describe(),
             "class_rep": weight_json(psi.rep),
@@ -254,8 +237,6 @@ def orbit_cmd(family: str, partition: str, fmt: str):
     """Invariants of the nilpotent orbit with the given PARTITION."""
     p = validate_partition(family, parse_partition(partition))
     datum = orbit_datum(p)
-    _, _, grading = h_and_grading(p)
-    graded = sorted(grading.items())
     factors = " x ".join(f"{kind}({size})" for kind, size in datum.reductive_factors)
     _emit_table(
         fmt,
@@ -268,7 +249,7 @@ def orbit_cmd(family: str, partition: str, fmt: str):
             "centralizer_dim": datum.centralizer_dim,
             "reductive_factors": [[kind, size] for kind, size in datum.reductive_factors],
             "component_group_order": datum.component_group_order,
-            "grading": [[degree, dim] for degree, dim in graded],
+            "grading": [[degree, dim] for degree, dim in datum.grading],
         },
         [
             "family\tpartition\th\tis_even\tcentralizer_dim\treductive\tcomponent_group_order",
@@ -280,7 +261,7 @@ def orbit_cmd(family: str, partition: str, fmt: str):
             f"  h = ({weight_str(datum.h)})  (even orbit: {datum.is_even})",
             f"  centralizer dimension = {datum.centralizer_dim}",
             f"  reductive centralizer = {factors}, component group order {datum.component_group_order}",
-            "  graded dimensions: " + ", ".join(f"{k}: {v}" for k, v in graded),
+            "  graded dimensions: " + ", ".join(f"{k}: {v}" for k, v in datum.grading),
         ],
     )
 
@@ -299,7 +280,7 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
     except (ValueError, ZeroDivisionError) as exc:
         raise UnsupportedType(f"cannot parse --nu {nu_text!r}: {exc}") from None
     ctx = slice_context(orbit_datum(p), nu)
-    d = slice_delta(ctx)
+    d = ctx.delta
     d_restricted = restrict_to_tQ(d, ctx)
     r0 = rho_zero(ctx)
     r0_restricted = restrict_to_tQ(r0, ctx)
@@ -333,13 +314,13 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
 
 @main.command("premet")
 @click.argument("n", type=int)
-@click.option("--bound", type=int, default=None, help="d(psi) enumeration bound.")
-@_retired_option
+@_retired_option("--bound")
+@_retired_option("--window")
 @_format_option
 @_guard
-def premet_cmd(n: int, bound, fmt: str):
+def premet_cmd(n: int, fmt: str):
     """Full worked example for sp_2n, orbit (2,...,2), highest weight rho/2."""
-    report = premet_example(n, bound=bound if bound is not None else _default_bound())
+    report = premet_example(n)
     _emit_table(
         fmt,
         report_json(report),
@@ -356,14 +337,12 @@ def table_group():
 @table_group.command("premet")
 @click.option("--from", "start", type=int, required=True, help="First n (>= 3).")
 @click.option("--to", "stop", type=int, required=True, help="Last n.")
-@click.option("--bound", type=int, default=None, help="d(psi) enumeration bound.")
+@_retired_option("--bound")
 @_format_option
 @_guard
-def table_premet_cmd(start: int, stop: int, bound, fmt: str):
+def table_premet_cmd(start: int, stop: int, fmt: str):
     """Worked-example reports for every n in [--from, --to]."""
-    reports = premet_table(
-        start, stop, bound=bound if bound is not None else _default_bound()
-    )
+    reports = premet_table(start, stop)
     pretty: list[str] = []
     for r in reports:
         pretty.append(f"== n = {r.n} ==")

@@ -22,10 +22,6 @@ class NotInWeightLattice(GoldieBoundError):
     """The weight does not lie in the integral weight lattice."""
 
 
-class BudgetExceeded(GoldieBoundError):
-    """An enumeration budget ran out before the invariant was certified."""
-
-
 class ParityViolation(GoldieBoundError):
     """Partition violates the multiplicity parity rule of its family."""
 

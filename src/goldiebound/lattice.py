@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotInWeightLattice
-from .rootsys import Root, RootSystem, Vec, normalize_factors, vdot, weight_str, zero_vec
+from .rootsys import Root, RootSystem, Vec, normalize_factors, vdot, weight_str
 
 
 def class_group(family: str, rank: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -39,12 +39,6 @@ def in_weight_lattice(rs: RootSystem, w: Sequence) -> bool:
     return all(p.denominator == 1 for p in rs.fundamental_coefficients(w))
 
 
-def in_root_lattice(rs: RootSystem, w: Sequence) -> bool:
-    """True when w lies in the weight lattice with residue 0 in P/Q."""
-    coeffs = rs.fundamental_coefficients(w)
-    return in_weight_lattice(rs, w) and not any(map(any, class_residue(rs, coeffs)))
-
-
 @dataclass(frozen=True)
 class SchurClass:
     """A coset of the root lattice inside the weight lattice.
@@ -62,31 +56,19 @@ class SchurClass:
         return not any(map(any, self.residue))
 
 
-def _level_tuples(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _level_tuples(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def schur_class_of(rs: RootSystem, lam: Sequence) -> SchurClass:
     """The root-lattice coset of lam, with its minuscule-or-zero representative."""
-    if not in_weight_lattice(rs, lam):
+    coeffs = rs.fundamental_coefficients(lam)
+    if any(c.denominator != 1 for c in coeffs):
         lam = weight_str(rs.canonical(lam))
         raise NotInWeightLattice(f"({lam}) is not in the weight lattice of {rs.describe()}")
-    residue = class_residue(rs, rs.fundamental_coefficients(lam))
+    residue = class_residue(rs, coeffs)
     rep: list[int] = []
     for (family, rank), part in zip(rs.factors, residue):
         # In every classical family the first omega_i of a nonzero class is minuscule.
         first = class_group(family, rank)[1].index(part) if any(part) else rank
         rep.extend(int(i == first) for i in range(rank))
     return SchurClass(rs, residue, rs.from_fundamental(rep))
-
-
-def trivial_class(rs: RootSystem) -> SchurClass:
-    return schur_class_of(rs, zero_vec(rs.ambient_dim))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,11 @@ def tQ_embedding(p: Partition) -> tuple[Optional[int], ...]:
 
 @dataclass(frozen=True)
 class OrbitDatum:
-    """Bundle of the orbit invariants used downstream."""
+    """Bundle of the orbit invariants used downstream.
+
+    ``grading`` lists the (h-degree, dimension) pairs of the grading of g, by
+    degree.
+    """
 
     partition: Partition
     h: Vec
@@ -178,9 +182,12 @@ class OrbitDatum:
     reductive_factors: tuple[tuple[str, int], ...]
     component_group_order: int
     is_even: bool
+    grading: tuple[tuple[int, int], ...]
 
 
 def orbit_datum(p: Partition) -> OrbitDatum:
-    h, even, _ = h_and_grading(p)
+    h, even, grading = h_and_grading(p)
     factors, component_order = reductive_centralizer(p)
-    return OrbitDatum(p, h, centralizer_dim(p), factors, component_order, even)
+    return OrbitDatum(
+        p, h, centralizer_dim(p), factors, component_order, even, tuple(sorted(grading.items()))
+    )

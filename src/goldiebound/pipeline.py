@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import InvariantViolation, NonGenericNu, NotDivisible, PipelineError, UnsupportedType
 from .lattice import integral_subsystem, schur_class_of
 from .nilorbit import OrbitDatum, Partition, orbit_datum, validate_partition
-from .repdim import DEFAULT_BOUND, DPsiResult, d_psi, weyl_dim
+from .repdim import DPsiResult, d_psi, weyl_dim
 from .rootsys import Q, RootSystem, Vec, normalize_factors, vec, vscale, weight_str
 from .slices import (
     SliceContext,
@@ -82,12 +82,7 @@ def _q_and_weight(n: int, omega_eta: Vec) -> tuple[RootSystem, Vec]:
     return RootSystem((("A", 1), ("A", 1))), (a, -a, b, -b)
 
 
-def premet_example(
-    n: int,
-    *,
-    bound: int = DEFAULT_BOUND,
-    nu: Optional[Sequence] = None,
-) -> BoundReport:
+def premet_example(n: int, *, nu: Optional[Sequence] = None) -> BoundReport:
     """Run the sp_2n worked example for the orbit (2, ..., 2) at lam = rho/2.
 
     A given nu must lie in the dominant chamber nu_1 > ... > nu_m > 0 of t_Q,
@@ -161,7 +156,7 @@ def premet_example(
 
     dim_v = weyl_dim(q, omega)
     psi = schur_class_of(q, omega)
-    d_result = d_psi(q, psi, bound=bound)
+    d_result = d_psi(q, psi)
     check(
         "class divisor",
         d_result.value > 0 and dim_v % d_result.value == 0,

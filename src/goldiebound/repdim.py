@@ -4,31 +4,24 @@ d(psi) is the greatest common divisor of the dimensions of the irreducible
 representations whose highest weight lies in a fixed root-lattice coset psi.
 It equals the index of the corresponding homogeneous Azumaya algebra.
 `orbit_certificate` gives a proven divisor of every dimension in the class, a
-closed form per simple factor read from the class's residue in P/Q; `d_psi`
-enumerates witnesses until their gcd meets it, so every value it returns is
-exact.
+closed form per simple factor read from the class's residue in P/Q.  `d_psi`
+takes closed-form members of the class, one short list per simple factor, and
+keeps those whose dimensions lower the gcd until it meets the certificate, so
+every value it returns is exact and no search is made.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BudgetExceeded,
-    InvariantViolation,
-    NotDivisible,
-    NotDominant,
-    NotInWeightLattice,
-    UnsupportedType,
-)
-from .lattice import SchurClass, class_group, class_residue, in_weight_lattice, _level_tuples
-from .rootsys import RootSystem, Vec, weight_str
+from .errors import InvariantViolation, NotDivisible, NotDominant, NotInWeightLattice
+from .lattice import SchurClass, class_group
+from .rootsys import RootSystem, Vec, vadd, weight_str
 
 CERTIFIED = "certified"
-
-DEFAULT_BOUND = 8
-DEFAULT_NODE_LIMIT = 200_000
 
 
 def _doubled(w: Vec) -> list[int]:
@@ -52,9 +45,10 @@ def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
     and each pairing reads the two coordinates of the root's support.
     """
     lam = rs.canonical(lam)
-    if not rs.is_dominant(lam):
+    coeffs = rs.fundamental_coefficients(lam)
+    if any(c < 0 for c in coeffs):
         raise NotDominant(f"({weight_str(lam)}) is not dominant for {rs.describe()}")
-    if not in_weight_lattice(rs, lam):
+    if any(c.denominator != 1 for c in coeffs):
         raise NotInWeightLattice(
             f"({weight_str(lam)}) is not in the weight lattice of {rs.describe()}"
         )
@@ -72,6 +66,19 @@ def weyl_dim(rs: RootSystem, lam: Sequence) -> int:
     return dim
 
 
+def _factor_certificate(family: str, rank: int, part: tuple[int, ...]) -> int:
+    """`orbit_certificate` of the class ``part`` of one simple factor."""
+    if not any(part):
+        return 1
+    if family == "A":
+        return (rank + 1) // math.gcd(rank + 1, part[0])
+    if family == "B":
+        return 2**rank
+    if part == class_group(family, rank)[1][0]:  # the class of omega_1, C_n or D_n
+        return 2 * (rank & -rank)
+    return 2 ** (rank - 1)  # a half-spin class of D_n
+
+
 def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
     """A proven divisor of every dimension in the class psi.
 
@@ -86,19 +93,36 @@ def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
     algebras", Doc. Math. 1, 1996).  `tests/oracles.py` keeps the walk over
     supports that computes the gcd directly, as a referee.
     """
-    certificate = 1
-    for (family, rank), part in zip(rs.factors, psi.residue):
-        if not any(part):
-            continue
-        if family == "A":
-            certificate *= (rank + 1) // math.gcd(rank + 1, part[0])
-        elif family == "B":
-            certificate *= 2**rank
-        elif part == class_group(family, rank)[1][0]:  # the class of omega_1, C_n or D_n
-            certificate *= 2 * (rank & -rank)
-        else:  # a half-spin class of D_n
-            certificate *= 2 ** (rank - 1)
-    return certificate
+    return math.prod(
+        _factor_certificate(family, rank, part)
+        for (family, rank), part in zip(rs.factors, psi.residue)
+    )
+
+
+def _class_members(family: str, rank: int, part: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Dominant members of the class ``part`` of one simple factor, as
+    fundamental coefficients, whose dimensions have gcd `_factor_certificate`.
+
+    The zero weight for the trivial class; the hooks (k - j) omega_1 +
+    omega_j, j = k, ..., 1, for the class k of A_n; the minuscule omega_n or
+    omega_(n-1) for a spin or half-spin class; and for the class of omega_1 of
+    C_n and D_n the omega_i with i odd (i <= n - 2 in type D), with 2 omega_n
+    added for D_n with n odd.
+    """
+
+    def omega(i: int, c: int = 1) -> tuple[int, ...]:  # c omega_i; omega(0) is the zero weight
+        return tuple(c * (m == i) for m in range(1, rank + 1))
+
+    if not any(part):
+        return [omega(0)]
+    images = class_group(family, rank)[1]
+    if family == "A":
+        k = part[0]
+        return [tuple(map(sum, zip(omega(1, k - j), omega(j)))) for j in range(k, 0, -1)]
+    if family == "B" or part != images[0]:  # a spin or half-spin class
+        return [omega(images.index(part) + 1)]
+    odd = [omega(i) for i in range(1, rank + 1 if family == "C" else rank - 1, 2)]
+    return odd + [omega(rank, 2)] if family == "D" and rank % 2 else odd
 
 
 @dataclass(frozen=True)
@@ -108,7 +132,8 @@ class DPsiResult:
     ``status`` is always "certified": the witnesses' gcd met the orbit
     certificate, so the value is exact.  ``witnesses`` records the (weight,
     dimension) pairs at which the running gcd strictly dropped.
-    ``bound_used`` is the level at which the certificate was met.
+    ``bound_used`` is the level (fundamental-coefficient sum) of the last
+    witness.
     """
 
     value: int
@@ -117,50 +142,56 @@ class DPsiResult:
     bound_used: int
 
 
-def d_psi(
-    rs: RootSystem,
-    psi: SchurClass,
-    *,
-    bound: int = DEFAULT_BOUND,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> DPsiResult:
+def _by_level(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return sum(coeffs), coeffs
+
+
+def _gcd_drops(members, certificate: int, what: str) -> list[tuple]:
+    """The members, taken in order, whose dimension (their last entry)
+    strictly lowers the running gcd, up to the one that brings it to
+    ``certificate``; InvariantViolation if none does."""
+    drops, running = [], 0
+    for member in members:
+        if math.gcd(running, member[-1]) != running:
+            running = math.gcd(running, member[-1])
+            drops.append(member)
+            if running == certificate:
+                return drops
+    raise InvariantViolation(f"{what} have gcd {running}, not the certificate {certificate}")
+
+
+def d_psi(rs: RootSystem, psi: SchurClass) -> DPsiResult:
     """GCD of the dimensions of the irreducibles with highest weight in psi.
 
-    Dominant weights are enumerated level by level up to ``bound``
-    (fundamental coefficient sum), and class members are kept as witnesses
-    until their gcd meets `orbit_certificate`.  If the bound or
-    ``node_limit`` runs out first, BudgetExceeded states the proven interval.
+    Each simple factor's closed-form members (`_class_members`) are taken by
+    level (fundamental-coefficient sum), then by coefficient tuple, and kept
+    while they strictly lower the factor's gcd, until it meets the factor's
+    certificate.  The products of the kept members, in the same order, give
+    the witnesses the same way; the gcd of the products is the product of
+    the factors' gcds, so it meets `orbit_certificate`.  A gcd that misses
+    its certificate raises InvariantViolation, so every value is proven.
     """
     if psi.root_system != rs:
         raise NotInWeightLattice("class does not belong to this root system")
-    if bound < 0 or node_limit < 0:
-        raise UnsupportedType(f"bound and node_limit must be >= 0, got {bound} and {node_limit}")
-    certificate = orbit_certificate(rs, psi)
-    running = 0
-    witnesses: list[tuple[Vec, int]] = []
-    candidates = ((level, c) for level in range(bound + 1) for c in _level_tuples(level, rs.rank))
-    levels_done = bound + 1
-    for nodes, (level, coeffs) in enumerate(candidates, 1):
-        if nodes > node_limit:
-            levels_done = level
-            break
-        if class_residue(rs, coeffs) != psi.residue:
-            continue
-        mu = rs.from_fundamental(coeffs)
-        dim = weyl_dim(rs, mu)
-        if dim % certificate:
-            raise NotDivisible(
-                f"certificate {certificate} does not divide dim V({weight_str(mu)}) = {dim}"
-            )
-        merged = math.gcd(running, dim)
-        if merged != running:
-            witnesses.append((mu, dim))
-            running = merged
-        if running == certificate:
-            return DPsiResult(running, CERTIFIED, tuple(witnesses), level)
-    upper = f" | {running}" if running else ""
-    raise BudgetExceeded(
-        f"d(psi) of the class of ({weight_str(psi.rep)}) in {rs.describe()}: budget ran out "
-        f"(bound {bound}, node limit {node_limit}) with {levels_done} of {bound + 1} levels done; "
-        f"proven: {certificate} | d(psi){upper}"
+    kept_per_factor, offset = [], 0
+    for (family, rank), part in zip(rs.factors, psi.residue):
+        before, after = (0,) * offset, (0,) * (rs.rank - offset - rank)
+        members = sorted(_class_members(family, rank, part), key=_by_level)
+        weights = ((c, rs.from_fundamental(before + c + after)) for c in members)
+        measured = ((c, mu, weyl_dim(rs, mu)) for c, mu in weights)
+        what = f"the closed-form members of the class {part} of {family}{rank}"
+        kept_per_factor.append(_gcd_drops(measured, _factor_certificate(family, rank, part), what))
+        offset += rank
+    products = sorted(
+        (
+            (sum((c for c, _, _ in combo), ()), combo, math.prod(dim for _, _, dim in combo))
+            for combo in itertools.product(*kept_per_factor)
+        ),
+        key=lambda product: _by_level(product[0]),
     )
+    certificate = orbit_certificate(rs, psi)
+    drops = _gcd_drops(products, certificate, "the products of the factors' members")
+    witnesses = tuple(
+        (functools.reduce(vadd, (mu for _, mu, _ in combo)), dim) for _, combo, dim in drops
+    )
+    return DPsiResult(certificate, CERTIFIED, witnesses, sum(drops[-1][0]))

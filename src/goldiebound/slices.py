@@ -51,6 +51,11 @@ class SliceContext:
             if v != 0
         )
 
+    @cached_property
+    def delta(self) -> Vec:
+        """`delta` of this context, computed once."""
+        return delta(self)
+
     def nu_centralizer_roots(self) -> list[Root]:
         """The positive roots that pair to zero with nu."""
         return [alpha for alpha, v in zip(self.g.positive_roots, self.nu_pairings) if v == 0]
@@ -118,7 +123,7 @@ def rho_zero(ctx: SliceContext) -> Vec:
 def underline_character(lam: Sequence, ctx: SliceContext) -> Vec:
     """Restriction of lam - rho - delta to t_Q."""
     lam = ctx.g._check_dim(lam)
-    return restrict_to_tQ(vsub(vsub(lam, ctx.g.rho), delta(ctx)), ctx)
+    return restrict_to_tQ(vsub(vsub(lam, ctx.g.rho), ctx.delta), ctx)
 
 
 def even_identity_check(ctx: SliceContext) -> bool:
@@ -131,7 +136,7 @@ def even_identity_check(ctx: SliceContext) -> bool:
         if vdot(alpha.coords, ctx.orbit.h) != 0:
             half_nonzero = tuple(a + b for a, b in zip(half_nonzero, alpha.coords))
     half_nonzero = vscale(Q(1, 2), half_nonzero)
-    return restrict_to_tQ(delta(ctx), ctx) == restrict_to_tQ(half_nonzero, ctx)
+    return restrict_to_tQ(ctx.delta, ctx) == restrict_to_tQ(half_nonzero, ctx)
 
 
 def principal_in_nu_centralizer(ctx: SliceContext) -> bool:

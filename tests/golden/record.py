@@ -15,7 +15,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from goldiebound.cli import ENV_BOUND, main
+from goldiebound.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
 FORMATS = ("json", "tsv", "pretty")
@@ -50,27 +50,37 @@ RUNS += [
     ("dim-A2xD4", ["dim", "A2xD4", "fw:[1,1,0,0,0,1]"]),
     ("dim-not-dominant", ["dim", "B2", "0,1"]),
     ("dim-not-in-lattice", ["dim", "C2", "1/2,1/2"]),
-    # exit 3: the d(psi) budget runs out before the certificate is met
+    # the retired --bound is accepted and ignored
     ("dpsi-budget", ["dpsi", "A3", "1,1,0,0", "--bound", "1"]),
     ("index-budget", ["index", "A3", "1,1,0,0", "--bound", "1"]),
     ("premet-budget", ["premet", "5", "--bound", "0"]),
+    ("dpsi-negative-bound", ["dpsi", "B2", "1/2,1/2", "--bound", "-1"]),
     # exit 2: invalid input
     ("orbit-invalid", ["orbit", "sp", "3,1"]),
     ("orbit-size-mismatch", ["orbit-size", "B2", "1,2,3"]),
     ("integral-mismatch", ["integral", "B2", "1/2"]),
-    ("dpsi-negative-bound", ["dpsi", "B2", "1/2,1/2", "--bound", "-1"]),
     ("premet-too-small", ["premet", "2"]),
     ("table-premet-too-small", ["table", "premet", "--from", "2", "--to", "4"]),
     ("table-premet-3-16", ["table", "premet", "--from", "3", "--to", "16"]),
     # a weight with a leading minus sign is an argument, not an option
     ("orbit-size-negative", ["orbit-size", "B2", "-1,2"]),
     ("integral-negative", ["integral", "B2", "-1/3,0"]),
+    # d(psi) at growing rank and over three factors
+    ("dpsi-A4-omega3", ["dpsi", "A4", "fw:[0,0,1,0]"]),
+    ("dpsi-A11-omega4", ["dpsi", "A11", "fw:[0,0,0,1" + ",0" * 7 + "]"]),
+    ("dpsi-C8-omega1", ["dpsi", "C8", "1" + ",0" * 7]),
+    ("dpsi-D9-omega1", ["dpsi", "D9", "1" + ",0" * 8]),
+    ("dpsi-A5xA5xA5", ["dpsi", "A5xA5xA5", "fw:[" + ",".join(["0,0,1,0,0"] * 3) + "]"]),
+    # exit 2: invalid input
+    ("index-not-in-lattice", ["index", "C2", "1/2,1/2"]),
+    ("delta-unparsable-nu", ["delta", "sp", "2^4", "--nu", "1,oops"]),
+    ("delta-nu-length", ["delta", "sp", "2^4", "--nu", "2,1,1"]),
 ]
 
 
 def replay(args: list[str]):
-    """One CLI invocation with the default d(psi) bound, whatever the environment sets."""
-    return CliRunner().invoke(main, args, env={ENV_BOUND: None})
+    """One CLI invocation."""
+    return CliRunner().invoke(main, args)
 
 
 def record() -> list[dict]:

@@ -8,7 +8,9 @@ nilpotents.  None of it shares code paths with the library beyond the basic
 vector helpers, with two exceptions.  The section on library forms keeps
 what the library no longer carries: the dense 0/1 matrix of the slice-torus
 inclusion t_Q -> t with its matrix products, the level-by-level class
-enumerator, gauge-blind weight equality and the long and short root classes.
+enumerator and the d(psi) search built on it, root-lattice membership, the
+trivial class, gauge-blind weight equality and the long and short root
+classes.
 The last section keeps two searches the library replaced by closed forms, the
 Dynkin-diagram recognizer of integral subsystems and the support walk behind
 the class certificate, as referees.  They take root systems, partitions and
@@ -25,12 +27,13 @@ from typing import Optional
 from goldiebound.errors import NotDivisible, NotDominant, NotInWeightLattice
 from goldiebound.lattice import (
     SchurClass,
-    _level_tuples,
     class_group,
     class_residue,
     in_weight_lattice,
+    schur_class_of,
 )
 from goldiebound.nilorbit import Partition
+from goldiebound.repdim import DPsiResult, weyl_dim
 from goldiebound.rootsys import (
     Root,
     RootSystem,
@@ -40,6 +43,7 @@ from goldiebound.rootsys import (
     vdot,
     vsub,
     weight_str,
+    zero_vec,
 )
 
 Q = Fraction
@@ -259,6 +263,59 @@ def dense_restrict(lam: tuple, matrix) -> tuple:
 def dense_push_nu(nu: tuple, matrix) -> tuple:
     """The parameter nu as a point of t: the product matrix * nu."""
     return tuple(sum((row[j] * nu[j] for j in range(len(nu))), Q(0)) for row in matrix)
+
+
+def _level_tuples(total: int, parts: int):
+    """Every tuple of ``parts`` non-negative integers summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _level_tuples(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def in_root_lattice(rs: RootSystem, w) -> bool:
+    """True when w lies in the weight lattice with residue 0 in P/Q."""
+    coeffs = rs.fundamental_coefficients(w)
+    return in_weight_lattice(rs, w) and not any(map(any, class_residue(rs, coeffs)))
+
+
+def trivial_class(rs: RootSystem) -> SchurClass:
+    return schur_class_of(rs, zero_vec(rs.ambient_dim))
+
+
+def enumerated_d_psi(
+    rs: RootSystem, psi: SchurClass, bound: int = 8, node_limit: int = 200_000
+) -> DPsiResult:
+    """d(psi) by the level-by-level enumeration the library made before its
+    closed-form witnesses.
+
+    Fundamental-coefficient tuples are walked by level up to ``bound``,
+    lexicographically within a level, at most ``node_limit`` of them.  A class
+    member is a witness when its dimension strictly lowers the running gcd,
+    and the walk stops once the gcd meets `walk_certificate`: the status is
+    then "certified".  If the budget runs out first, the status is "bounded"
+    and the value is the running gcd, a multiple of d(psi) (0 when no member
+    was reached).
+    """
+    certificate = walk_certificate(rs, psi)
+    running, witnesses, level = 0, [], 0
+    tuples = (
+        (level, coeffs) for level in range(bound + 1) for coeffs in _level_tuples(level, rs.rank)
+    )
+    for level, coeffs in itertools.islice(tuples, node_limit):
+        if class_residue(rs, coeffs) != psi.residue:
+            continue
+        mu = rs.from_fundamental(coeffs)
+        dim = weyl_dim(rs, mu)
+        if math.gcd(running, dim) != running:
+            running = math.gcd(running, dim)
+            witnesses.append((mu, dim))
+        if running == certificate:
+            return DPsiResult(running, "certified", tuple(witnesses), level)
+    return DPsiResult(running, "bounded", tuple(witnesses), level)
 
 
 def enumerate_dominant_in_class(rs: RootSystem, psi: SchurClass, bound: int) -> list[Vec]:

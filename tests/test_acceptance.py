@@ -36,6 +36,7 @@ from goldiebound.rootsys import vscale
 from oracles import (
     brute_orbit,
     centralizer_dims_by_matrices,
+    enumerated_d_psi,
     freudenthal_dim,
     scan_dominant_in_class,
 )
@@ -213,10 +214,10 @@ def test_criterion_8_property_suites():
             lam = rs.from_fundamental(coeffs)
             assert rs.orbit_size(lam) == len(brute_orbit(rs, lam))
 
-    # d(psi) never increases as the enumeration bound grows
+    # the enumerated d(psi) never increases as the enumeration bound grows
     a3 = build([("A", 3)])
     cls = schur_class_of(a3, (Q(1), Q(1), Q(0), Q(0)))
-    values = [d_psi(a3, cls, bound=b).value for b in range(5, 10)]
+    values = [enumerated_d_psi(a3, cls, bound=b).value for b in range(5, 10)]
     assert all(later <= earlier for earlier, later in zip(values, values[1:]))
     assert all(earlier % later == 0 for earlier, later in zip(values, values[1:]))
 

@@ -82,27 +82,47 @@ def test_index_matches_dpsi():
     assert a["dpsi"]["value"] == b["index"]["value"] == "8"
 
 
+# Exit code 3 and GOLDIEBOUND_DPSI_BOUND are retired with the d(psi) budget. The
+# three tests below keep the names of the budget tests they replace and pin what
+# took their place: --bound and the old variable are accepted and ignored.
+RETIRED_BOUND_CASES = [
+    ["dpsi", "A3", "1,1,0,0"],
+    ["index", "B2", "1/2,1/2"],
+    ["premet", "3"],
+    ["table", "premet", "--from", "3", "--to", "4"],
+]
+
+
 def test_dpsi_budget_exhaustion_exits_3():
-    result = run("dpsi", "B2", "1/2,1/2", "--bound", "0")
-    assert result.exit_code == 3
-    result = run("dpsi", "A3", "1,1,0,0", "--bound", "1")  # certifies at level 2
-    assert result.exit_code == 3
+    # The runs that once exhausted the budget and exited 3 now certify.
+    for args, value in ((["dpsi", "B2", "1/2,1/2", "--bound", "0"], "4"),
+                        (["dpsi", "A3", "1,1,0,0", "--bound", "1"], "2")):
+        payload = run_json(*args)
+        assert payload["dpsi"]["value"] == value
+        assert payload["dpsi"]["status"] == "certified"
+    for args in RETIRED_BOUND_CASES:
+        plain = run(*args, "--format", "json")
+        assert plain.exit_code == 0, plain.output
+        for bound in ("0", "1"):
+            assert run(*args, "--bound", bound, "--format", "json").output == plain.output
+        assert "--bound" not in run(*args, "--help").output
 
 
-def test_dpsi_env_var_sets_default_bound(monkeypatch):
-    env = {"GOLDIEBOUND_DPSI_BOUND": "0"}
-    result = run("dpsi", "B2", "1/2,1/2", env=env)
-    assert result.exit_code == 3
-    result = run("dpsi", "B2", "1/2,1/2", "--bound", "2", env=env)
-    assert result.exit_code == 0  # explicit flag wins
-    env = {"GOLDIEBOUND_DPSI_BOUND": "zeuhl"}
-    result = run("dpsi", "B2", "1/2,1/2", env=env)
-    assert result.exit_code == 2
+def test_dpsi_env_var_sets_default_bound():
+    # GOLDIEBOUND_DPSI_BOUND is no longer read: no value of it changes the output.
+    for args in RETIRED_BOUND_CASES:
+        plain = run(*args, "--format", "json")
+        for value in ("0", "-2", "zeuhl"):
+            env = {"GOLDIEBOUND_DPSI_BOUND": value}
+            assert run(*args, "--format", "json", env=env).output == plain.output
 
 
 def test_negative_bound_is_a_usage_error():
-    assert run("dpsi", "A2", "1,0,0", "--bound", "-1").exit_code == 2
-    assert run("premet", "3", env={"GOLDIEBOUND_DPSI_BOUND": "-2"}).exit_code == 2
+    # A negative --bound is ignored like any other; a non-integer one is still a usage error.
+    for args in RETIRED_BOUND_CASES:
+        plain = run(*args, "--format", "json")
+        assert run(*args, "--bound", "-1", "--format", "json").output == plain.output
+    assert run("dpsi", "A3", "1,1,0,0", "--bound", "x").exit_code == 2
 
 
 def test_weight_may_start_with_a_minus_sign():
@@ -110,7 +130,8 @@ def test_weight_may_start_with_a_minus_sign():
         with_dash = run(command, "A2", "-1,-2,-3", "--format", "json")
         assert with_dash.exit_code == 0, with_dash.output
         assert with_dash.output == run(command, "A2", "--format", "json", "--", "-1,-2,-3").output
-    assert run("dpsi", "A2", "--bound", "-1", "-1,0,1").exit_code == 2  # the bound, not the weight
+    bounded = run("dpsi", "A2", "--bound", "-1", "-1,0,1")  # the bound, then the weight
+    assert bounded.exit_code == 0 and bounded.output == run("dpsi", "A2", "--", "-1,0,1").output
     misspelled = run("dim", "B2", "1,0", "--formt", "json")
     assert misspelled.exit_code == 2 and "No such option '--formt'" in misspelled.output
     missing = run("dpsi", "B2", "1/2,1/2", "--bound")
@@ -131,9 +152,6 @@ def test_error_text_prints_rationals():
     result = run("index", "C2", "1/2,1/2")
     assert result.exit_code == 2
     assert "(1/2,1/2) is not in the weight lattice of C2" in result.output
-    result = run("dpsi", "A3", "1,1,0,0", "--bound", "1")
-    assert result.exit_code == 3
-    assert "proven: 2 | d(psi) | 6" in result.output
 
 
 def test_dpsi_tsv_and_pretty():

@@ -1,4 +1,5 @@
 """Weyl dimensions, class enumeration, and the gcd invariant d(psi)."""
+import inspect
 import itertools
 import math
 import random
@@ -12,19 +13,22 @@ from goldiebound import (
     build,
     d_psi,
     orbit_certificate,
+    premet_example,
+    repdim,
     schur_class_of,
-    trivial_class,
     weyl_dim,
 )
-from goldiebound.errors import BudgetExceeded, NotDominant, NotInWeightLattice, UnsupportedType
+from goldiebound.errors import InvariantViolation, NotDominant, NotInWeightLattice
 
 from oracles import (
     brute_orbit,
     enumerate_dominant_in_class,
+    enumerated_d_psi,
     fraction_weyl_dim,
     freudenthal_dim,
     scan_dominant_in_class,
     scan_dominant_in_product_class,
+    trivial_class,
     walk_certificate,
 )
 
@@ -331,15 +335,16 @@ def test_d_psi_a3_matches_independent_gcd_oracle():
 
 
 def test_d_psi_monotone_in_bound():
+    # The enumerating referee's gcd only falls, by divisors, as its bound
+    # grows, and it settles on the closed-form value.
     rs = build("A", 3)
     psi = schur_class_of(rs, (1, 1, 0, 0))
-    values = []
-    for bound in range(5, 10):
-        values.append(d_psi(rs, psi, bound=bound).value)
-    assert values == sorted(values, reverse=True)
+    values = [enumerated_d_psi(rs, psi, bound=bound).value for bound in range(1, 10)]
+    assert values[0] == 6 and values[-1] == 2 == d_psi(rs, psi).value
+    assert all(earlier % later == 0 for earlier, later in zip(values, values[1:]))
     rs = build("B", 3)
     psi = schur_class_of(rs, half(1, 1, 1))
-    assert d_psi(rs, psi, bound=1).value == d_psi(rs, psi, bound=6).value
+    assert enumerated_d_psi(rs, psi, bound=1).value == enumerated_d_psi(rs, psi, bound=6).value
 
 
 def test_d_psi_divides_later_dimensions():
@@ -350,34 +355,80 @@ def test_d_psi_divides_later_dimensions():
         assert weyl_dim(rs, w) % result.value == 0
 
 
-def test_d_psi_budget_exceeded():
-    rs = build("A", 1)
-    psi = schur_class_of(rs, (1, 0))
-    with pytest.raises(BudgetExceeded):
-        d_psi(rs, psi, bound=0)  # no class member below level 1
-    a4 = build("A", 4)  # the class of omega_2 needs 15 nodes to certify
-    with pytest.raises(BudgetExceeded):
-        d_psi(a4, schur_class_of(a4, (1, 1, 0, 0, 0)), node_limit=14)
-    assert d_psi(a4, schur_class_of(a4, (1, 1, 0, 0, 0)), node_limit=15).value == 5
+def test_d_psi_takes_no_budget():
+    assert list(inspect.signature(d_psi).parameters) == ["rs", "psi"]
+    assert list(inspect.signature(premet_example).parameters) == ["n", "nu"]
 
 
-def test_d_psi_rejects_negative_budgets():
-    rs = build("A", 2)
+def every_class(rs):
+    """One SchurClass per class of rs: every class of a simple factor holds 0
+    or a fundamental weight, so their products reach every class."""
+    per_factor = [_unit_and_zero_tuples(rank) for _, rank in rs.factors]
+    classes = {}
+    for parts in itertools.product(*per_factor):
+        psi = schur_class_of(rs, rs.from_fundamental(sum(parts, ())))
+        classes.setdefault(psi.residue, psi)
+    return list(classes.values())
+
+
+def assert_witnesses_prove(rs, psi, result):
+    """Each witness is a dominant member of psi with its stated dimension and
+    strictly lowers the gcd, which ends at the value and the certificate."""
+    running = 0
+    for weight, dim in result.witnesses:
+        assert schur_class_of(rs, weight) == psi and rs.is_dominant(weight)
+        assert weyl_dim(rs, weight) == dim
+        assert math.gcd(running, dim) != running
+        running = math.gcd(running, dim)
+    assert running == result.value == orbit_certificate(rs, psi)
+    assert result.status == "certified"
+    assert result.bound_used == sum(rs.fundamental_coefficients(result.witnesses[-1][0]))
+
+
+def test_d_psi_matches_enumerating_referee():
+    systems = [build("A", n) for n in range(1, 8)]
+    systems += [build(family, n) for family in "BC" for n in range(2, 7)]
+    systems += [build("D", n) for n in range(3, 7)] + [build([("A", 2), ("D", 4)])]
+    for rs in systems:
+        for psi in every_class(rs):
+            referee = enumerated_d_psi(rs, psi)
+            assert referee.status == "certified", (rs.describe(), psi.residue)
+            result = d_psi(rs, psi)
+            assert result.value == referee.value, (rs.describe(), psi.residue)
+            assert_witnesses_prove(rs, psi, result)
+
+
+def test_d_psi_certifies_every_class_up_to_rank_30():
+    systems = [build("A", n) for n in range(1, 31)]
+    systems += [build(family, n) for family in "BC" for n in range(2, 31)]
+    systems += [build("D", n) for n in range(3, 31)]
+    for rs in systems:
+        for psi in every_class(rs):
+            result = d_psi(rs, psi)  # raises InvariantViolation if the witnesses miss
+            assert result.value == orbit_certificate(rs, psi), (rs.describe(), psi.residue)
+
+
+def test_d_psi_certifies_every_class_of_a5_cubed():
+    # The level enumeration ran out of budget on seven of these classes.
+    rs = build([("A", 5)] * 3)
+    for psi in every_class(rs):
+        assert_witnesses_prove(rs, psi, d_psi(rs, psi))
+
+
+def test_d_psi_misses_without_2_omega_n_on_odd_d(monkeypatch):
+    # Negative control: for D3 the class of omega_1 needs 2 omega_3 (dim 10)
+    # next to omega_1 (dim 6) to bring the gcd down to the certificate 2.
+    members = repdim._class_members
+
+    def without_2_omega_n(family, rank, part):
+        return [c for c in members(family, rank, part) if not (family == "D" and c[-1] == 2)]
+
+    rs = build("D", 3)
     psi = schur_class_of(rs, (1, 0, 0))
-    with pytest.raises(UnsupportedType):
-        d_psi(rs, psi, bound=-1)
-    with pytest.raises(UnsupportedType):
-        d_psi(rs, psi, node_limit=-1)
-
-
-def test_budget_exceeded_states_the_proven_interval():
-    a3 = build("A", 3)
-    psi = schur_class_of(a3, (1, 1, 0, 0))
-    expected = r"\(1,1,0,0\) in A3: .* 2 of 2 levels done; proven: 2 \| d\(psi\) \| 6$"
-    with pytest.raises(BudgetExceeded, match=expected):
-        d_psi(a3, psi, bound=1)
-    with pytest.raises(BudgetExceeded, match=r"1 of 9 levels done; proven: 2 \| d\(psi\)$"):
-        d_psi(a3, psi, node_limit=1)
+    assert d_psi(rs, psi).value == 2
+    monkeypatch.setattr(repdim, "_class_members", without_2_omega_n)
+    with pytest.raises(InvariantViolation, match="have gcd 6, not the certificate 2"):
+        d_psi(rs, psi)
 
 
 def test_error_text_prints_rationals():
