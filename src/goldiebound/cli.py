@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Each command computes its values once and returns one `serialize.Record`, or
+a list of them for `table premet`.  `_command` registers it with a --format
+option and writes the result through `serialize.render`, the one renderer of
+json, tsv and pretty.
+
 Exit codes: 0 on success, 2 on validation/domain errors (including usage).
 The retired options --bound and --window are accepted and ignored.
 """
@@ -7,40 +12,18 @@ from __future__ import annotations
 
 import functools
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 import click
 
-from .errors import GoldieBoundError, UnsupportedType
+from .errors import GoldieBoundError
 from .lattice import integral_subsystem, schur_class_of
 from .nilorbit import orbit_datum, validate_partition
 from .pipeline import premet_example, premet_table
 from .repdim import d_psi, weyl_dim
-from .serialize import (
-    canonical_json,
-    dpsi_json,
-    rational_str,
-    report_json,
-    report_pretty,
-    report_tsv_rows,
-    weight_json,
-    weight_str,
-)
+from .serialize import Record, dpsi_json, render, report_record, weight_json, weight_str
 from .slices import even_identity_check, rho_zero, restrict_to_tQ, slice_context
-from .syntax import parse_partition, parse_root_system, parse_weight
-
-
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except GoldieBoundError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
+from .syntax import parse_nu, parse_partition, parse_root_system, parse_weight
 
 _format_option = click.option(
     "--format",
@@ -56,6 +39,10 @@ def _retired_option(name: str):
     """An integer option that d_psi no longer takes, accepted and ignored so
     that older command lines keep working."""
     return click.option(name, type=int, hidden=True, expose_value=False)
+
+
+_RETIRED_BOUND = _retired_option("--bound")
+_RETIRED_WINDOW = _retired_option("--window")
 
 
 class _WeightCommand(click.Command):
@@ -92,121 +79,142 @@ class _WeightCommand(click.Command):
         return super().parse_args(ctx, options + ["--"] + arguments)
 
 
-def _emit_table(fmt: str, payload, tsv_lines, pretty_lines):
-    if fmt == "json":
-        click.echo(canonical_json(payload))
-    elif fmt == "tsv":
-        for line in tsv_lines:
-            click.echo(line)
-    else:
-        for line in pretty_lines:
-            click.echo(line)
-
-
 @click.group()
 def main():
     """Exact Goldie-rank bounds from Lie-theoretic combinatorics."""
 
 
-@main.command("dim", cls=_WeightCommand)
-@click.argument("root_system")
-@click.argument("weight")
-@_format_option
-@_guard
-def dim_cmd(root_system: str, weight: str, fmt: str):
+@main.group("table")
+def table_group():
+    """Tabulated runs over a range of inputs."""
+
+
+def _command(name: str, *params, group: click.Group = main, cls=None):
+    """Register `build` as the command `name` of `group`, taking `params` and --format.
+
+    `build` gets the parameters' values and returns a Record or a list of
+    them, which is written to stdout in the chosen format.  A domain error is
+    written to stderr instead, with exit code 2.
+    """
+
+    def register(build):
+        def callback(fmt: str, **values):
+            try:
+                result = build(**values)
+            except GoldieBoundError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            click.echo(render(result, fmt))
+
+        for param in reversed((*params, _format_option)):
+            callback = param(callback)
+        return group.command(name, cls=cls, help=build.__doc__)(callback)
+
+    return register
+
+
+def _weight_command(name: str, *params):
+    """A `name ROOT_SYSTEM WEIGHT` command: `build(rs, w, ...)` gets both parsed."""
+
+    def register(build):
+        @functools.wraps(build)
+        def parsed(root_system: str, weight: str, **values):
+            rs = parse_root_system(root_system)
+            return build(rs, parse_weight(weight, rs), **values)
+
+        args = (click.argument("root_system"), click.argument("weight"), *params)
+        return _command(name, *args, cls=_WeightCommand)(parsed)
+
+    return register
+
+
+def _partition_command(name: str, *params):
+    """A `name FAMILY PARTITION` command: `build(p, ...)` gets the validated partition."""
+
+    def register(build):
+        @functools.wraps(build)
+        def parsed(family: str, partition: str, **values):
+            return build(validate_partition(family, parse_partition(partition)), **values)
+
+        args = (click.argument("family", type=click.Choice(["sp", "so"])), click.argument("partition"))
+        return _command(name, *args, *params)(parsed)
+
+    return register
+
+
+@_weight_command("dim")
+def dim_cmd(rs, w) -> Record:
     """Weyl dimension of the irreducible with highest weight WEIGHT."""
-    rs = parse_root_system(root_system)
-    w = parse_weight(weight, rs)
     value = weyl_dim(rs, w)
-    _emit_table(
-        fmt,
+    return Record(
         {"root_system": rs.describe(), "weight": weight_json(w), "dim": str(value)},
-        ["root_system\tweight\tdim", f"{rs.describe()}\t{weight_str(w)}\t{value}"],
+        {"root_system": rs.describe(), "weight": weight_str(w), "dim": value},
         [f"dim V({weight_str(w)}) over {rs.describe()} = {value}"],
     )
 
 
-@main.command("orbit-size", cls=_WeightCommand)
-@click.argument("root_system")
-@click.argument("weight")
-@_format_option
-@_guard
-def orbit_size_cmd(root_system: str, weight: str, fmt: str):
+@_weight_command("orbit-size")
+def orbit_size_cmd(rs, w) -> Record:
     """Size of the Weyl-group orbit of WEIGHT (normalized to dominant first)."""
-    rs = parse_root_system(root_system)
-    w = parse_weight(weight, rs)
     dom = rs.dominant_representative(w)
     size = rs.orbit_size(w)
-    _emit_table(
-        fmt,
+    return Record(
         {
             "root_system": rs.describe(),
             "weight": weight_json(w),
             "dominant": weight_json(dom),
             "orbit_size": str(size),
         },
-        [
-            "root_system\tweight\tdominant\torbit_size",
-            f"{rs.describe()}\t{weight_str(w)}\t{weight_str(dom)}\t{size}",
-        ],
+        {
+            "root_system": rs.describe(),
+            "weight": weight_str(w),
+            "dominant": weight_str(dom),
+            "orbit_size": size,
+        },
         [f"|W.({weight_str(w)})| over {rs.describe()} = {size} (dominant: {weight_str(dom)})"],
     )
 
 
-def _dpsi_command(name: str, doc: str):
-    @main.command(name, cls=_WeightCommand, help=doc)
-    @click.argument("root_system")
-    @click.argument("weight")
-    @_retired_option("--bound")
-    @_retired_option("--window")
-    @_format_option
-    @_guard
-    def cmd(root_system: str, weight: str, fmt: str):
-        rs = parse_root_system(root_system)
-        w = parse_weight(weight, rs)
-        psi = schur_class_of(rs, w)
-        result = d_psi(rs, psi)
-        payload = {
+def _dpsi_record(rs, w, key: str) -> Record:
+    psi = schur_class_of(rs, w)
+    result = d_psi(rs, psi)
+    return Record(
+        {"root_system": rs.describe(), "class_rep": weight_json(psi.rep), key: dpsi_json(result)},
+        {
             "root_system": rs.describe(),
-            "class_rep": weight_json(psi.rep),
-            name.replace("-", "_"): dpsi_json(result),
-        }
-        _emit_table(
-            fmt,
-            payload,
-            [
-                "root_system\tclass_rep\tvalue\tstatus\tbound_used",
-                f"{rs.describe()}\t{weight_str(psi.rep)}\t{result.value}\t{result.status}\t{result.bound_used}",
-            ],
-            [
-                f"class of ({weight_str(psi.rep)}) in {rs.describe()}:",
-                f"  value = {result.value} ({result.status}, levels <= {result.bound_used})",
-                "  witnesses: "
-                + "; ".join(f"({weight_str(w_)}) dim {d}" for w_, d in result.witnesses),
-            ],
-        )
-
-    return cmd
+            "class_rep": weight_str(psi.rep),
+            "value": result.value,
+            "status": result.status,
+            "bound_used": result.bound_used,
+        },
+        [
+            f"class of ({weight_str(psi.rep)}) in {rs.describe()}:",
+            f"  value = {result.value} ({result.status}, levels <= {result.bound_used})",
+            "  witnesses: "
+            + "; ".join(f"({weight_str(w_)}) dim {d}" for w_, d in result.witnesses),
+        ],
+    )
 
 
-_dpsi_command("dpsi", "GCD of irreducible dimensions over the root-lattice coset of WEIGHT.")
-_dpsi_command("index", "Azumaya index of the class of WEIGHT (same invariant as dpsi).")
+@_weight_command("dpsi", _RETIRED_BOUND, _RETIRED_WINDOW)
+def dpsi_cmd(rs, w) -> Record:
+    """GCD of irreducible dimensions over the root-lattice coset of WEIGHT."""
+    return _dpsi_record(rs, w, "dpsi")
 
 
-@main.command("integral", cls=_WeightCommand)
-@click.argument("root_system")
-@click.argument("weight")
-@_format_option
-@_guard
-def integral_cmd(root_system: str, weight: str, fmt: str):
+@_weight_command("index", _RETIRED_BOUND, _RETIRED_WINDOW)
+def index_cmd(rs, w) -> Record:
+    """Azumaya index of the class of WEIGHT (same invariant as dpsi)."""
+    return _dpsi_record(rs, w, "index")
+
+
+@_weight_command("integral")
+def integral_cmd(rs, w) -> Record:
     """Subsystem of roots pairing integrally with WEIGHT, with its type."""
-    rs = parse_root_system(root_system)
-    w = rs._check_dim(parse_weight(weight, rs))
     sub = integral_subsystem(rs, w)
     type_name = sub.type_guess.describe() if sub.type_guess else None
     positive = sorted(r.coords for r in sub.roots if r.positive)
-    _emit_table(
-        fmt,
+    return Record(
         {
             "root_system": rs.describe(),
             "weight": weight_json(w),
@@ -214,11 +222,13 @@ def integral_cmd(root_system: str, weight: str, fmt: str):
             "type": type_name,
             "positive_roots": [weight_json(c) for c in positive],
         },
-        [
-            "root_system\tweight\tdim\ttype\tpositive_roots",
-            f"{rs.describe()}\t{weight_str(w)}\t{sub.dim}\t{type_name or 'none'}\t"
-            + ";".join(weight_str(c) for c in positive),
-        ],
+        {
+            "root_system": rs.describe(),
+            "weight": weight_str(w),
+            "dim": sub.dim,
+            "type": type_name or "none",
+            "positive_roots": ";".join(weight_str(c) for c in positive),
+        },
         [
             f"integral subsystem of {rs.describe()} at ({weight_str(w)}):",
             f"  dim = {sub.dim}",
@@ -228,20 +238,14 @@ def integral_cmd(root_system: str, weight: str, fmt: str):
     )
 
 
-@main.command("orbit")
-@click.argument("family", type=click.Choice(["sp", "so"]))
-@click.argument("partition")
-@_format_option
-@_guard
-def orbit_cmd(family: str, partition: str, fmt: str):
+@_partition_command("orbit")
+def orbit_cmd(p) -> Record:
     """Invariants of the nilpotent orbit with the given PARTITION."""
-    p = validate_partition(family, parse_partition(partition))
     datum = orbit_datum(p)
     factors = " x ".join(f"{kind}({size})" for kind, size in datum.reductive_factors)
-    _emit_table(
-        fmt,
+    return Record(
         {
-            "family": family,
+            "family": p.family,
             "partition": list(p.parts),
             "N": p.N,
             "h": weight_json(datum.h),
@@ -251,13 +255,17 @@ def orbit_cmd(family: str, partition: str, fmt: str):
             "component_group_order": datum.component_group_order,
             "grading": [[degree, dim] for degree, dim in datum.grading],
         },
+        {
+            "family": p.family,
+            "partition": ",".join(map(str, p.parts)),
+            "h": weight_str(datum.h),
+            "is_even": datum.is_even,
+            "centralizer_dim": datum.centralizer_dim,
+            "reductive": factors,
+            "component_group_order": datum.component_group_order,
+        },
         [
-            "family\tpartition\th\tis_even\tcentralizer_dim\treductive\tcomponent_group_order",
-            f"{family}\t{','.join(map(str, p.parts))}\t{weight_str(datum.h)}\t{datum.is_even}\t"
-            f"{datum.centralizer_dim}\t{factors}\t{datum.component_group_order}",
-        ],
-        [
-            f"{family}_{p.N}, partition {p.parts}:",
+            f"{p.family}_{p.N}, partition {p.parts}:",
             f"  h = ({weight_str(datum.h)})  (even orbit: {datum.is_even})",
             f"  centralizer dimension = {datum.centralizer_dim}",
             f"  reductive centralizer = {factors}, component group order {datum.component_group_order}",
@@ -266,29 +274,20 @@ def orbit_cmd(family: str, partition: str, fmt: str):
     )
 
 
-@main.command("delta")
-@click.argument("family", type=click.Choice(["sp", "so"]))
-@click.argument("partition")
-@click.option("--nu", "nu_text", default=None, help="Slice parameter, e.g. '2,1'.")
-@_format_option
-@_guard
-def delta_cmd(family: str, partition: str, nu_text, fmt: str):
+@_partition_command(
+    "delta", click.option("--nu", "nu_text", default=None, help="Slice parameter, e.g. '2,1'.")
+)
+def delta_cmd(p, nu_text) -> Record:
     """The delta shift of the orbit's slice, and its restriction to t_Q."""
-    p = validate_partition(family, parse_partition(partition))
-    try:
-        nu = [Fraction(c) for c in nu_text.split(",")] if nu_text else None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UnsupportedType(f"cannot parse --nu {nu_text!r}: {exc}") from None
-    ctx = slice_context(orbit_datum(p), nu)
+    ctx = slice_context(orbit_datum(p), parse_nu(nu_text))
     d = ctx.delta
     d_restricted = restrict_to_tQ(d, ctx)
     r0 = rho_zero(ctx)
     r0_restricted = restrict_to_tQ(r0, ctx)
     even_ok = even_identity_check(ctx) if ctx.orbit.is_even else None
-    _emit_table(
-        fmt,
+    return Record(
         {
-            "family": family,
+            "family": p.family,
             "partition": list(p.parts),
             "nu": weight_json(ctx.nu),
             "delta": weight_json(d),
@@ -297,13 +296,17 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
             "rho_zero_restricted": weight_json(r0_restricted),
             "even_identity": even_ok,
         },
+        {
+            "family": p.family,
+            "partition": ",".join(map(str, p.parts)),
+            "nu": weight_str(ctx.nu),
+            "delta": weight_str(d),
+            "delta_restricted": weight_str(d_restricted),
+            "rho_zero": weight_str(r0),
+            "even_identity": even_ok,
+        },
         [
-            "family\tpartition\tnu\tdelta\tdelta_restricted\trho_zero\teven_identity",
-            f"{family}\t{','.join(map(str, p.parts))}\t{weight_str(ctx.nu)}\t{weight_str(d)}\t"
-            f"{weight_str(d_restricted)}\t{weight_str(r0)}\t{even_ok}",
-        ],
-        [
-            f"{family}_{p.N}, partition {p.parts}, nu = ({weight_str(ctx.nu)}):",
+            f"{p.family}_{p.N}, partition {p.parts}, nu = ({weight_str(ctx.nu)}):",
             f"  delta = ({weight_str(d)})",
             f"  delta|t_Q = ({weight_str(d_restricted)})",
             f"  rho_0 = ({weight_str(r0)}), rho_0|t_Q = ({weight_str(r0_restricted)})",
@@ -312,48 +315,26 @@ def delta_cmd(family: str, partition: str, nu_text, fmt: str):
     )
 
 
-@main.command("premet")
-@click.argument("n", type=int)
-@_retired_option("--bound")
-@_retired_option("--window")
-@_format_option
-@_guard
-def premet_cmd(n: int, fmt: str):
+@_command("premet", click.argument("n", type=int), _RETIRED_BOUND, _RETIRED_WINDOW)
+def premet_cmd(n: int) -> Record:
     """Full worked example for sp_2n, orbit (2,...,2), highest weight rho/2."""
-    report = premet_example(n)
-    _emit_table(
-        fmt,
-        report_json(report),
-        report_tsv_rows([report]),
-        [report_pretty(report)],
-    )
+    return report_record(premet_example(n))
 
 
-@main.group("table")
-def table_group():
-    """Tabulated runs over a range of inputs."""
-
-
-@table_group.command("premet")
-@click.option("--from", "start", type=int, required=True, help="First n (>= 3).")
-@click.option("--to", "stop", type=int, required=True, help="Last n.")
-@_retired_option("--bound")
-@_format_option
-@_guard
-def table_premet_cmd(start: int, stop: int, fmt: str):
+@_command(
+    "premet",
+    click.option("--from", "start", type=int, required=True, help="First n (>= 3)."),
+    click.option("--to", "stop", type=int, required=True, help="Last n."),
+    _RETIRED_BOUND,
+    group=table_group,
+)
+def table_premet_cmd(start: int, stop: int) -> list[Record]:
     """Worked-example reports for every n in [--from, --to]."""
-    reports = premet_table(start, stop)
-    pretty: list[str] = []
-    for r in reports:
-        pretty.append(f"== n = {r.n} ==")
-        pretty.append(report_pretty(r))
-        pretty.append("")
-    _emit_table(
-        fmt,
-        [report_json(r) for r in reports],
-        report_tsv_rows(reports),
-        pretty,
-    )
+    records = []
+    for report in premet_table(start, stop):
+        record = report_record(report)
+        records.append(replace(record, pretty=[f"== n = {report.n} ==", *record.pretty, ""]))
+    return records
 
 
 if __name__ == "__main__":

@@ -2,14 +2,15 @@
 
 Root systems: "B3", "A2xB2" (case-insensitive, factors joined by 'x').
 Weights: comma-separated rationals "3/2,1/2,-1", or fundamental-weight
-coefficients "fw:[0,1,0]".  Partitions: comma-separated parts where each item
+coefficients "fw:[0,1,0]".  The slice parameter --nu: comma-separated
+rationals "2,1".  Partitions: comma-separated parts where each item
 is "k" or "k^multiplicity", e.g. "2^4" or "3,1,1" or "4,2^2".
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional
 
 from .errors import UnsupportedType
 from .rootsys import RootSystem, Vec
@@ -32,19 +33,28 @@ def parse_root_system(text: str) -> RootSystem:
 
 def parse_weight(text: str, rs: RootSystem) -> Vec:
     text = text.strip()
+    if not text.startswith("fw:"):
+        return rs.canonical(_rationals(text, "weight"))
+    body = text[3:].strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise UnsupportedType(f"fundamental-weight syntax is fw:[c1,...,cr], got {text!r}")
     try:
-        if text.startswith("fw:"):
-            body = text[3:].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise UnsupportedType(
-                    f"fundamental-weight syntax is fw:[c1,...,cr], got {text!r}"
-                )
-            coeffs = [int(c) for c in body[1:-1].split(",")] if body[1:-1].strip() else []
-            return rs.from_fundamental(coeffs)
-        coords = [Fraction(c) for c in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        coeffs = [int(c) for c in body[1:-1].split(",")] if body[1:-1].strip() else []
+    except ValueError as exc:
         raise UnsupportedType(f"cannot parse weight {text!r}: {exc}") from None
-    return rs.canonical(coords)
+    return rs.from_fundamental(coeffs)
+
+
+def parse_nu(text: Optional[str]) -> Optional[list[Fraction]]:
+    """The slice parameter nu, e.g. "2,1"; None when it is not given."""
+    return _rationals(text, "--nu") if text else None
+
+
+def _rationals(text: str, what: str) -> list[Fraction]:
+    try:
+        return [Fraction(c) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UnsupportedType(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

@@ -75,12 +75,23 @@ RUNS += [
     ("index-not-in-lattice", ["index", "C2", "1/2,1/2"]),
     ("delta-unparsable-nu", ["delta", "sp", "2^4", "--nu", "1,oops"]),
     ("delta-nu-length", ["delta", "sp", "2^4", "--nu", "2,1,1"]),
+    # the so family, and a non-even orbit with odd grading degrees
+    ("orbit-so", ["orbit", "so", "3,1,1"]),
+    ("orbit-sp-odd", ["orbit", "sp", "2,1,1"]),
+]
+# every command's help text: --help exits 0 before --format is read
+RUNS += [
+    (f"{'-'.join(command)}-help", [*command, "--help"])
+    for command in (
+        ["dim"], ["orbit-size"], ["dpsi"], ["index"], ["integral"],
+        ["orbit"], ["delta"], ["premet"], ["table", "premet"],
+    )
 ]
 
 
 def replay(args: list[str]):
-    """One CLI invocation."""
-    return CliRunner().invoke(main, args)
+    """One CLI invocation, on an 80-column terminal so that help text wraps the same everywhere."""
+    return CliRunner(env={"COLUMNS": "80"}).invoke(main, args)
 
 
 def record() -> list[dict]:

@@ -5,9 +5,11 @@ The runs and their recorder are in `tests/golden/record.py`.
 import json
 from pathlib import Path
 
+import click
 import pytest
 
 from golden.record import FORMATS, RUNS, replay
+from goldiebound.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORDED = json.loads((GOLDEN / "runs.json").read_text())
@@ -29,3 +31,23 @@ def test_every_run_is_recorded():
         (args + ["--format", fmt], f"{name}-{fmt}.out") for name, args in RUNS for fmt in FORMATS
     ]
     assert [(run["args"], run["stdout"]) for run in RECORDED] == expected
+
+
+def _leaf_commands(group: click.Group, path: tuple = ()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,)
+
+
+def test_every_command_has_a_run_in_each_format():
+    # a command added without goldens would have no output contract
+    recorded = {(tuple(run["args"][:-2]), run["args"][-1]) for run in RECORDED}
+    missing = [
+        (" ".join(path), fmt)
+        for path in _leaf_commands(main)
+        for fmt in FORMATS
+        if not any(args[: len(path)] == path and f == fmt for args, f in recorded)
+    ]
+    assert list(_leaf_commands(main)) and missing == []
