@@ -34,11 +34,6 @@ def class_residue(rs: RootSystem, coeffs: Sequence) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def in_weight_lattice(rs: RootSystem, w: Sequence) -> bool:
-    """True when every simple coroot pairing of w is an integer."""
-    return all(p.denominator == 1 for p in rs.fundamental_coefficients(w))
-
-
 @dataclass(frozen=True)
 class SchurClass:
     """A coset of the root lattice inside the weight lattice.

@@ -189,8 +189,8 @@ def premet_example(n: int, *, nu: Optional[Sequence] = None) -> BoundReport:
     )
 
 
-def premet_table(start: int, stop: int, **kwargs) -> list[BoundReport]:
-    """Reports for every n in [start, stop]."""
+def premet_table(start: int, stop: int) -> list[BoundReport]:
+    """Reports for every n in [start, stop], each at its default nu."""
     if start < 3 or stop < start:
         raise UnsupportedType("table range must satisfy 3 <= start <= stop")
-    return [premet_example(n, **kwargs) for n in range(start, stop + 1)]
+    return [premet_example(n) for n in range(start, stop + 1)]

@@ -5,13 +5,13 @@ representations whose highest weight lies in a fixed root-lattice coset psi.
 It equals the index of the corresponding homogeneous Azumaya algebra.
 `orbit_certificate` gives a proven divisor of every dimension in the class, a
 closed form per simple factor read from the class's residue in P/Q.  `d_psi`
-takes closed-form members of the class, one short list per simple factor, and
-keeps those whose dimensions lower the gcd until it meets the certificate, so
-every value it returns is exact and no search is made.
+takes closed-form members of the class, one short list per simple factor with
+closed-form dimensions (hook-content, exterior powers, spin), and keeps those
+that lower the gcd until it meets the certificate, so every value it returns
+is exact and neither a search nor a Weyl product is made.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InvariantViolation, NotDivisible, NotDominant, NotInWeightLattice
 from .lattice import SchurClass, class_group
-from .rootsys import RootSystem, Vec, vadd, weight_str
+from .rootsys import RootSystem, Vec, weight_str
 
 CERTIFIED = "certified"
 
@@ -99,30 +99,41 @@ def orbit_certificate(rs: RootSystem, psi: SchurClass) -> int:
     )
 
 
-def _class_members(family: str, rank: int, part: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _class_members(family: str, rank: int, part: tuple[int, ...]) -> list[tuple[tuple, int]]:
     """Dominant members of the class ``part`` of one simple factor, as
-    fundamental coefficients, whose dimensions have gcd `_factor_certificate`.
+    (fundamental coefficients, dimension) pairs, whose dimensions have gcd
+    `_factor_certificate`.  Each dimension is a classical closed form (Fulton
+    and Harris, Representation Theory, sections 6, 17 and 19):
 
-    The zero weight for the trivial class; the hooks (k - j) omega_1 +
-    omega_j, j = k, ..., 1, for the class k of A_n; the minuscule omega_n or
-    omega_(n-1) for a spin or half-spin class; and for the class of omega_1 of
-    C_n and D_n the omega_i with i odd (i <= n - 2 in type D), with 2 omega_n
-    added for D_n with n odd.
+    - the trivial class: the zero weight, 1;
+    - the class k of A_n: the hooks (k - j) omega_1 + omega_j, j = k, ..., 1,
+      C(n + 1 + k - j, k) C(k - 1, j - 1) by the hook-content formula;
+    - a spin class: omega_n of B_n, 2^n; omega_(n-1) or omega_n of D_n, 2^(n-1);
+    - the class of omega_1 of C_n: the odd omega_i, C(2n, i) - C(2n, i - 2);
+    - the class of omega_1 of D_n: the odd omega_i with i <= n - 2, C(2n, i),
+      and 2 omega_n, C(2n, n) / 2, for n odd.
     """
 
     def omega(i: int, c: int = 1) -> tuple[int, ...]:  # c omega_i; omega(0) is the zero weight
         return tuple(c * (m == i) for m in range(1, rank + 1))
 
     if not any(part):
-        return [omega(0)]
+        return [(omega(0), 1)]
     images = class_group(family, rank)[1]
     if family == "A":
         k = part[0]
-        return [tuple(map(sum, zip(omega(1, k - j), omega(j)))) for j in range(k, 0, -1)]
+        hooks = ((j, tuple(map(sum, zip(omega(1, k - j), omega(j))))) for j in range(k, 0, -1))
+        return [(c, math.comb(rank + 1 + k - j, k) * math.comb(k - 1, j - 1)) for j, c in hooks]
     if family == "B" or part != images[0]:  # a spin or half-spin class
-        return [omega(images.index(part) + 1)]
-    odd = [omega(i) for i in range(1, rank + 1 if family == "C" else rank - 1, 2)]
-    return odd + [omega(rank, 2)] if family == "D" and rank % 2 else odd
+        return [(omega(images.index(part) + 1), 2 ** (rank - (family == "D")))]
+    two_n, odd = 2 * rank, range(1, rank + 1 if family == "C" else rank - 1, 2)
+    if family == "C":  # the kernel of the contraction Lambda^i V -> Lambda^(i-2) V
+        return [
+            (omega(i), math.comb(two_n, i) - (math.comb(two_n, i - 2) if i > 1 else 0))
+            for i in odd
+        ]
+    members = [(omega(i), math.comb(two_n, i)) for i in odd]  # Lambda^i V
+    return members + [(omega(rank, 2), math.comb(two_n, rank) // 2)] if rank % 2 else members
 
 
 @dataclass(frozen=True)
@@ -142,8 +153,8 @@ class DPsiResult:
     bound_used: int
 
 
-def _by_level(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return sum(coeffs), coeffs
+def _by_level(member: tuple) -> tuple[int, tuple[int, ...]]:
+    return sum(member[0]), member[0]
 
 
 def _gcd_drops(members, certificate: int, what: str) -> list[tuple]:
@@ -163,35 +174,30 @@ def _gcd_drops(members, certificate: int, what: str) -> list[tuple]:
 def d_psi(rs: RootSystem, psi: SchurClass) -> DPsiResult:
     """GCD of the dimensions of the irreducibles with highest weight in psi.
 
-    Each simple factor's closed-form members (`_class_members`) are taken by
-    level (fundamental-coefficient sum), then by coefficient tuple, and kept
-    while they strictly lower the factor's gcd, until it meets the factor's
-    certificate.  The products of the kept members, in the same order, give
-    the witnesses the same way; the gcd of the products is the product of
-    the factors' gcds, so it meets `orbit_certificate`.  A gcd that misses
-    its certificate raises InvariantViolation, so every value is proven.
+    Each simple factor's closed-form members and dimensions (`_class_members`)
+    are taken by level (fundamental-coefficient sum), then by coefficient
+    tuple, and kept while they strictly lower the factor's gcd, until it
+    meets the factor's certificate.  The products of the kept members, in the
+    same order, give the witnesses the same way; the gcd of the products is
+    the product of the factors' gcds, so it meets `orbit_certificate`.  No
+    Weyl product is taken, and only the kept witnesses are built as weights.
+    A gcd that misses its certificate raises InvariantViolation.
     """
     if psi.root_system != rs:
         raise NotInWeightLattice("class does not belong to this root system")
-    kept_per_factor, offset = [], 0
+    kept_per_factor = []
     for (family, rank), part in zip(rs.factors, psi.residue):
-        before, after = (0,) * offset, (0,) * (rs.rank - offset - rank)
         members = sorted(_class_members(family, rank, part), key=_by_level)
-        weights = ((c, rs.from_fundamental(before + c + after)) for c in members)
-        measured = ((c, mu, weyl_dim(rs, mu)) for c, mu in weights)
         what = f"the closed-form members of the class {part} of {family}{rank}"
-        kept_per_factor.append(_gcd_drops(measured, _factor_certificate(family, rank, part), what))
-        offset += rank
+        kept_per_factor.append(_gcd_drops(members, _factor_certificate(family, rank, part), what))
     products = sorted(
         (
-            (sum((c for c, _, _ in combo), ()), combo, math.prod(dim for _, _, dim in combo))
+            (sum((c for c, _ in combo), ()), math.prod(dim for _, dim in combo))
             for combo in itertools.product(*kept_per_factor)
         ),
-        key=lambda product: _by_level(product[0]),
+        key=_by_level,
     )
     certificate = orbit_certificate(rs, psi)
     drops = _gcd_drops(products, certificate, "the products of the factors' members")
-    witnesses = tuple(
-        (functools.reduce(vadd, (mu for _, mu, _ in combo)), dim) for _, combo, dim in drops
-    )
+    witnesses = tuple((rs.from_fundamental(c), dim) for c, dim in drops)
     return DPsiResult(certificate, CERTIFIED, witnesses, sum(drops[-1][0]))

@@ -8,6 +8,7 @@ Each root also carries its support: its at most two nonzero coordinates, as
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,12 +44,6 @@ def normalize_factors(factors: Sequence[tuple[str, int]]) -> tuple[tuple[str, in
 def vec(values: Iterable[Scalar]) -> Vec:
     """Coerce an iterable of rationals to a weight vector."""
     return tuple(Q(v) for v in values)
-
-
-def vadd(x: Vec, y: Vec) -> Vec:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"cannot add vectors of length {len(x)} and {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vsub(x: Vec, y: Vec) -> Vec:
@@ -160,24 +155,22 @@ def _block_rho(family: str, rank: int) -> list[Fraction]:
     return [Q(rank - 1 - i) for i in range(rank)]
 
 
-def _block_fundamental_weights(family: str, rank: int, dim: int) -> list[Vec]:
-    weights: list[Vec] = []
-    if family == "A":
-        # omega_k = (1,...,1,0,...,0) with k ones, in the last-coordinate-zero gauge.
-        for k in range(1, rank + 1):
-            weights.append(tuple(Q(1) if i < k else Q(0) for i in range(dim)))
-        return weights
-    for k in range(1, rank + 1):
-        w = [Q(1) if i < k else Q(0) for i in range(rank)]
-        if family == "B" and k == rank:
-            w = [Q(1, 2)] * rank
-        elif family == "D" and k == rank - 1:
-            w = [Q(1, 2)] * rank
-            w[rank - 1] = Q(-1, 2)
-        elif family == "D" and k == rank:
-            w = [Q(1, 2)] * rank
-        weights.append(tuple(w))
-    return weights
+def _block_weight(family: str, rank: int, c: Vec) -> list[Fraction]:
+    """sum_k c_k omega_k of one factor, in closed form.
+
+    Coordinate i is the sum of the c_k over the omega_k = e_1 + ... + e_k with
+    k > i, plus half the spin coefficients: c_n / 2 in B_n; (c_(n-1) + c_n) / 2,
+    or (c_n - c_(n-1)) / 2 on the last coordinate, in D_n.  An A_n block's
+    last coordinate is 0, the canonical gauge.
+    """
+    spins = {"B": 1, "D": 2}.get(family, 0)  # the trailing spin coefficients
+    steps = list(c[: rank - spins]) + [Q(0)] * (spins + (family == "A"))  # padded to the block
+    coords = list(itertools.accumulate(reversed(steps)))[::-1]
+    if family == "B":
+        coords = [x + c[-1] / 2 for x in coords]
+    elif family == "D":
+        coords = [x + (c[-2] + c[-1]) / 2 for x in coords[:-1]] + [(c[-1] - c[-2]) / 2]
+    return coords
 
 
 @dataclass(frozen=True)
@@ -285,16 +278,6 @@ class RootSystem:
         (n, ..., 1) for C_n and (n - 1, ..., 0) for D_n."""
         return self._join(_block_rho(family, rank) for family, rank in self.factors)
 
-    @cached_property
-    def fundamental_weights(self) -> tuple[Vec, ...]:
-        weights: list[Vec] = []
-        for family, rank, offset, dim in self.blocks:
-            pad_left = (Q(0),) * offset
-            pad_right = (Q(0),) * (self.ambient_dim - offset - dim)
-            for w in _block_fundamental_weights(family, rank, dim):
-                weights.append(pad_left + w + pad_right)
-        return tuple(weights)
-
     def dual(self) -> "RootSystem":
         """The dual root system: B and C swap, A and D are self-dual."""
         swap = {"A": "A", "B": "C", "C": "B", "D": "D"}
@@ -319,17 +302,18 @@ class RootSystem:
         return tuple(coroot_pairing(w, alpha) for alpha in self.simple_roots)
 
     def from_fundamental(self, coeffs: Sequence[Scalar]) -> Vec:
-        """The weight sum_k c_k omega_k, A-blocks in the canonical gauge."""
-        coeffs = list(coeffs)
+        """The weight sum_k c_k omega_k, one closed form per factor
+        (`_block_weight`), A-blocks in the canonical gauge."""
+        coeffs = vec(coeffs)
         if len(coeffs) != self.rank:
             raise DimensionMismatch(
                 f"{self.describe()} has rank {self.rank}, got {len(coeffs)} coefficients"
             )
-        total = zero_vec(self.ambient_dim)
-        for c, omega in zip(coeffs, self.fundamental_weights):
-            if c:
-                total = vadd(total, vscale(c, omega))
-        return self.canonical(total)
+        out, start = [], 0
+        for family, rank in self.factors:
+            out.extend(_block_weight(family, rank, coeffs[start : start + rank]))
+            start += rank
+        return tuple(out)
 
     def is_dominant(self, w: Sequence) -> bool:
         return all(p >= 0 for p in self.fundamental_coefficients(w))

@@ -8,9 +8,9 @@ nilpotents.  None of it shares code paths with the library beyond the basic
 vector helpers, with two exceptions.  The section on library forms keeps
 what the library no longer carries: the dense 0/1 matrix of the slice-torus
 inclusion t_Q -> t with its matrix products, the level-by-level class
-enumerator and the d(psi) search built on it, root-lattice membership, the
-trivial class, gauge-blind weight equality and the long and short root
-classes.
+enumerator and the d(psi) search built on it, the checked vector sum `vadd`,
+weight- and root-lattice membership, the trivial class, gauge-blind weight
+equality and the long and short root classes.
 The last section keeps two searches the library replaced by closed forms, the
 Dynkin-diagram recognizer of integral subsystems and the support walk behind
 the class certificate, as referees.  They take root systems, partitions and
@@ -24,12 +24,11 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from goldiebound.errors import NotDivisible, NotDominant, NotInWeightLattice
+from goldiebound.errors import DimensionMismatch, NotDivisible, NotDominant, NotInWeightLattice
 from goldiebound.lattice import (
     SchurClass,
     class_group,
     class_residue,
-    in_weight_lattice,
     schur_class_of,
 )
 from goldiebound.nilorbit import Partition
@@ -276,6 +275,17 @@ def _level_tuples(total: int, parts: int):
             yield (first,) + rest
 
 
+def vadd(x: Vec, y: Vec) -> Vec:
+    if len(x) != len(y):
+        raise DimensionMismatch(f"cannot add vectors of length {len(x)} and {len(y)}")
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def in_weight_lattice(rs: RootSystem, w) -> bool:
+    """True when every simple coroot pairing of w is an integer."""
+    return all(p.denominator == 1 for p in rs.fundamental_coefficients(w))
+
+
 def in_root_lattice(rs: RootSystem, w) -> bool:
     """True when w lies in the weight lattice with residue 0 in P/Q."""
     coeffs = rs.fundamental_coefficients(w)
@@ -353,10 +363,6 @@ def root_length(rs: RootSystem, alpha: Root) -> Optional[str]:
 # -- Freudenthal dimension oracle ----------------------------------------------
 
 
-def _vadd(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def _vsub(x, y):
     return tuple(a - b for a, b in zip(x, y))
 
@@ -389,7 +395,8 @@ def weight_multiplicities(rs, lam) -> dict:
         sum(col) / 2 for col in zip(*rho_check)
     )
     height = lambda v: _vdot(v, rho_check_vec)
-    min_step = min(height(w) for w in rs.fundamental_weights)
+    units = [tuple(int(i == k) for i in range(rs.rank)) for k in range(rs.rank)]
+    min_step = min(height(rs.from_fundamental(unit)) for unit in units)
     max_level = int(height(lam) / min_step) + 1
 
     def level_tuples(total, parts):
@@ -412,7 +419,7 @@ def weight_multiplicities(rs, lam) -> dict:
                 candidates.append(mu)
 
     c2 = lambda v: _vdot(
-        _project_zero_sum(rs, _vadd(v, rho)), _project_zero_sum(rs, _vadd(v, rho))
+        _project_zero_sum(rs, vadd(v, rho)), _project_zero_sum(rs, vadd(v, rho))
     )
     candidates.sort(key=height, reverse=True)
     mults: dict = {}
@@ -424,7 +431,7 @@ def weight_multiplicities(rs, lam) -> dict:
         for alpha in positive:
             k = 1
             while True:
-                nu = rs.canonical(_vadd(mu, tuple(k * c for c in alpha)))
+                nu = rs.canonical(vadd(mu, tuple(k * c for c in alpha)))
                 dom = rs.dominant_representative(nu)
                 if dom not in mults or mults[dom] == 0:
                     break
@@ -458,9 +465,9 @@ def fraction_weyl_dim(rs, lam) -> int:
         )
     rho = (Q(0),) * rs.ambient_dim
     for alpha in rs.positive_roots:
-        rho = _vadd(rho, alpha.coords)
+        rho = vadd(rho, alpha.coords)
     rho = tuple(c / 2 for c in rho)
-    shifted = _vadd(lam, rho)
+    shifted = vadd(lam, rho)
     dim = Q(1)
     for alpha in rs.positive_roots:
         dim *= coroot_pairing(shifted, alpha.coords) / coroot_pairing(rho, alpha.coords)

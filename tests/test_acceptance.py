@@ -202,7 +202,7 @@ def test_criterion_8_property_suites():
     rng = random.Random(20250825)
     for _ in range(100):
         for rs in systems:
-            coeffs = [rng.randrange(0, 4) for _ in rs.fundamental_weights]
+            coeffs = [rng.randrange(0, 4) for _ in range(rs.rank)]
             lam = rs.from_fundamental(coeffs)
             dim = weyl_dim(rs, lam)
             assert isinstance(dim, int) and dim >= 1

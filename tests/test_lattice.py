@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldiebound import build, in_weight_lattice, integral_subsystem, schur_class_of
+from goldiebound import build, integral_subsystem, schur_class_of
 from goldiebound.errors import NotInWeightLattice
-from goldiebound.rootsys import vadd, vsub
 
 from oracles import (
     diagram_type,
     in_root_lattice,
+    in_weight_lattice,
     scan_dominant_in_class,
     scan_height,
     scan_in_root_lattice,
     trivial_class,
+    vadd,
 )
 
 

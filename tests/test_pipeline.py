@@ -108,6 +108,8 @@ def test_premet_table():
     assert [r.ideal_codim for r in reports] == [4, 8, 16, 32]
     with pytest.raises(UnsupportedType):
         premet_table(2, 5)
+    with pytest.raises(TypeError):  # a nu has n // 2 coordinates, so none fits a range of n
+        premet_table(3, 5, nu=(1,))
     with pytest.raises(UnsupportedType):
         premet_table(5, 4)
 

@@ -19,6 +19,7 @@ from goldiebound import (
     weyl_dim,
 )
 from goldiebound.errors import InvariantViolation, NotDominant, NotInWeightLattice
+from goldiebound.rootsys import RootSystem
 
 from oracles import (
     brute_orbit,
@@ -398,11 +399,23 @@ def test_d_psi_matches_enumerating_referee():
             assert_witnesses_prove(rs, psi, result)
 
 
+def systems_up_to_rank_30():
+    yield from (build("A", n) for n in range(1, 31))
+    yield from (build(family, n) for family in "BC" for n in range(2, 31))
+    yield from (build("D", n) for n in range(3, 31))
+
+
+def rank_60_classes():
+    """Every class of B60, C60 and D60, and the classes k = 1, 30, 31, 60 of A60."""
+    for family in "ABCD":
+        rs = build(family, 60)
+        for psi in every_class(rs):
+            if family != "A" or psi.residue[0][0] in (1, 30, 31, 60):
+                yield rs, psi
+
+
 def test_d_psi_certifies_every_class_up_to_rank_30():
-    systems = [build("A", n) for n in range(1, 31)]
-    systems += [build(family, n) for family in "BC" for n in range(2, 31)]
-    systems += [build("D", n) for n in range(3, 31)]
-    for rs in systems:
+    for rs in systems_up_to_rank_30():
         for psi in every_class(rs):
             result = d_psi(rs, psi)  # raises InvariantViolation if the witnesses miss
             assert result.value == orbit_certificate(rs, psi), (rs.describe(), psi.residue)
@@ -421,7 +434,7 @@ def test_d_psi_misses_without_2_omega_n_on_odd_d(monkeypatch):
     members = repdim._class_members
 
     def without_2_omega_n(family, rank, part):
-        return [c for c in members(family, rank, part) if not (family == "D" and c[-1] == 2)]
+        return [m for m in members(family, rank, part) if not (family == "D" and m[0][-1] == 2)]
 
     rs = build("D", 3)
     psi = schur_class_of(rs, (1, 0, 0))
@@ -429,6 +442,44 @@ def test_d_psi_misses_without_2_omega_n_on_odd_d(monkeypatch):
     monkeypatch.setattr(repdim, "_class_members", without_2_omega_n)
     with pytest.raises(InvariantViolation, match="have gcd 6, not the certificate 2"):
         d_psi(rs, psi)
+
+
+def test_class_member_dimensions_match_weyl_dim():
+    # Referee for the closed forms: hook-content in A_n, the contraction
+    # kernels of C_n, Lambda^i V and C(2n, n) / 2 in D_n, and the spin modules.
+    cases = [(rs, psi) for rs in systems_up_to_rank_30() for psi in every_class(rs)]
+    for rs, psi in cases + list(rank_60_classes()):
+        ((family, rank),) = rs.factors
+        for coeffs, dim in repdim._class_members(family, rank, psi.residue[0]):
+            assert dim == weyl_dim(rs, rs.from_fundamental(coeffs)), (rs.describe(), coeffs)
+
+
+def test_d_psi_takes_no_weyl_product_at_rank_60(monkeypatch):
+    # Structural guard, with no wall clock: d_psi reads the closed-form
+    # dimensions, and builds one weight per witness it keeps.
+    cases = list(rank_60_classes())
+    calls = {"weyl_dim": 0, "from_fundamental": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(repdim, "weyl_dim", counting("weyl_dim", repdim.weyl_dim))
+    monkeypatch.setattr(
+        RootSystem, "from_fundamental", counting("from_fundamental", RootSystem.from_fundamental)
+    )
+    results = []
+    for rs, psi in cases:
+        built = calls["from_fundamental"]
+        results.append(d_psi(rs, psi))
+        assert calls["weyl_dim"] == 0, (rs.describe(), psi.residue)
+        assert calls["from_fundamental"] - built == len(results[-1].witnesses)
+    monkeypatch.undo()
+    for (rs, psi), result in zip(cases, results):
+        assert_witnesses_prove(rs, psi, result)
 
 
 def test_error_text_prints_rationals():

@@ -214,7 +214,8 @@ def test_orbit_size_matches_brute_force():
 
 def test_orbit_stabilizer_product():
     for rs in SMALL_SYSTEMS:
-        for w in [rs.rho, (Q(0),) * rs.ambient_dim, rs.fundamental_weights[0]]:
+        omega_1 = rs.from_fundamental((1,) + (0,) * (rs.rank - 1))
+        for w in [rs.rho, (Q(0),) * rs.ambient_dim, omega_1]:
             assert rs.orbit_size(w) * rs.stabilizer_order(w) == rs.weyl_group_order()
 
 

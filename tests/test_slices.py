@@ -20,9 +20,15 @@ from goldiebound import (
     validate_partition,
 )
 from goldiebound.errors import NonGenericNu, NotDominant
-from goldiebound.rootsys import vadd, vdot, vscale
+from goldiebound.rootsys import vdot, vscale
 
-from oracles import dense_push_nu, dense_restrict, dense_tQ_embedding, enumerate_dominant_in_class
+from oracles import (
+    dense_push_nu,
+    dense_restrict,
+    dense_tQ_embedding,
+    enumerate_dominant_in_class,
+    vadd,
+)
 
 
 def two_row_context(n, nu=None):
