@@ -51,8 +51,9 @@ class _WeightCommand(click.Command):
     Click reads any token that starts with '-' as an option.  Before parsing,
     the tokens are regrouped as options with their values, then '--', then the
     arguments in order; a token is an argument when it is not an option value
-    and either does not start with '-' or starts with '-' and a digit.  A
-    misspelled option stays among the options, so it is still a usage error.
+    and either does not start with '-' or starts with '-' and then a digit or
+    '.', as in `-.5,.5`.  A misspelled option stays among the options, so it
+    is still a usage error.
     """
 
     def parse_args(self, ctx, args):
@@ -67,7 +68,7 @@ class _WeightCommand(click.Command):
         for arg in rest:
             if arg == "--":
                 arguments.extend(rest)
-            elif arg[:1] != "-" or arg[1:2].isdigit():
+            elif arg[:1] != "-" or arg[1:2].isdigit() or arg[1:2] == ".":
                 arguments.append(arg)
             else:
                 options.append(arg)

@@ -62,10 +62,6 @@ def vdot(x: Vec, y: Vec) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Q(0))
 
 
-def zero_vec(dim: int) -> Vec:
-    return (Q(0),) * dim
-
-
 def rational_str(x: Union[int, Fraction]) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -87,6 +83,12 @@ class Root(NamedTuple):
     coords: Vec
     positive: bool
     support: tuple[tuple[int, int], ...]
+
+    def pair(self, other: Union["Root", Sequence]) -> Scalar:
+        """(self, other), read through the support; a `Root` is read through its own."""
+        if isinstance(other, Root):
+            return sum(c * d for i, c in self.support for j, d in other.support if i == j)
+        return sum(c * other[i] for i, c in self.support)
 
     def negated(self) -> "Root":
         return Root(

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import NonGenericNu, NotDominant, NotEvenOrbit
+from .errors import DimensionMismatch, NonGenericNu, NotDominant, NotEvenOrbit
 from .nilorbit import OrbitDatum, ambient_root_system, tQ_embedding
-from .rootsys import Q, Root, RootSystem, Vec, vdot, vec, vscale, vsub, weight_str, zero_vec
+from .rootsys import Q, Root, RootSystem, Vec, vec, vsub, weight_str
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,16 @@ class SliceContext:
     nu: Vec
     embedding: tuple[Optional[int], ...]
 
+    def __post_init__(self):
+        if len(self.embedding) != self.g.ambient_dim:
+            raise DimensionMismatch(
+                f"the coordinate map has {len(self.embedding)} entries, but "
+                f"{self.g.describe()} has {self.g.ambient_dim} coordinates"
+            )
+        for j in self.embedding:
+            if j is not None and not 0 <= j < len(self.nu):
+                raise DimensionMismatch(f"{j} is not a slot of nu = ({weight_str(self.nu)})")
+
     @property
     def slice_rank(self) -> int:
         return len(self.nu)
@@ -39,7 +49,7 @@ class SliceContext:
     def nu_pairings(self) -> tuple[Fraction, ...]:
         """<alpha, nu> for each positive root alpha of g, nu read through the embedding."""
         nu_t = tuple(Q(0) if j is None else self.nu[j] for j in self.embedding)
-        return tuple(vdot(alpha.coords, nu_t) for alpha in self.g.positive_roots)
+        return tuple(alpha.pair(nu_t) for alpha in self.g.positive_roots)
 
     @cached_property
     def negative_system(self) -> tuple[Root, ...]:
@@ -89,7 +99,11 @@ def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceCont
             raise NonGenericNu(f"nu must have {m} coordinates, got {len(nu)}")
     ctx = SliceContext(g, orbit, nu, embedding)
     for alpha in ctx.nu_centralizer_roots():
-        if any(restrict_to_tQ(alpha.coords, ctx)):
+        slots = [0] * m
+        for i, c in alpha.support:
+            if embedding[i] is not None:
+                slots[embedding[i]] += c
+        if any(slots):
             raise NonGenericNu(
                 f"root ({weight_str(alpha.coords)}) survives restriction but pairs to zero "
                 f"with nu = ({weight_str(nu)})"
@@ -97,27 +111,28 @@ def slice_context(orbit: OrbitDatum, nu: Optional[Sequence] = None) -> SliceCont
     return ctx
 
 
+def _half_root_sum(
+    ctx: SliceContext, roots: Iterable[Root], weight: Callable[[Fraction], int]
+) -> Vec:
+    """Half of sum weight(degree) * alpha over the roots, the degree being the
+    h-degree: the supports add up in integers, halved once at the end."""
+    total = [0] * ctx.g.ambient_dim
+    for alpha in roots:
+        w = weight(alpha.pair(ctx.orbit.h))
+        for i, c in alpha.support:
+            total[i] += w * c
+    return tuple(Q(t, 2) for t in total)
+
+
 def delta(ctx: SliceContext) -> Vec:
     """The shift: half the h-degree -1 part plus the full h-degree <= -2 part
-    of the nu-negative system."""
-    half = zero_vec(ctx.g.ambient_dim)
-    whole = zero_vec(ctx.g.ambient_dim)
-    for alpha in ctx.negative_system:
-        degree = vdot(alpha.coords, ctx.orbit.h)
-        if degree == -1:
-            half = tuple(a + b for a, b in zip(half, alpha.coords))
-        elif degree <= -2:
-            whole = tuple(a + b for a, b in zip(whole, alpha.coords))
-    return tuple(a / 2 + b for a, b in zip(half, whole))
+    of the nu-negative system, summed over the root supports in integers."""
+    return _half_root_sum(ctx, ctx.negative_system, lambda d: 1 if d == -1 else 2 if d <= -2 else 0)
 
 
 def rho_zero(ctx: SliceContext) -> Vec:
-    """Half the sum of the positive roots of h-degree zero."""
-    total = zero_vec(ctx.g.ambient_dim)
-    for alpha in ctx.g.positive_roots:
-        if vdot(alpha.coords, ctx.orbit.h) == 0:
-            total = tuple(a + b for a, b in zip(total, alpha.coords))
-    return vscale(Q(1, 2), total)
+    """Half the sum of the positive roots of h-degree zero, over their supports."""
+    return _half_root_sum(ctx, ctx.g.positive_roots, lambda d: int(d == 0))
 
 
 def underline_character(lam: Sequence, ctx: SliceContext) -> Vec:
@@ -128,14 +143,10 @@ def underline_character(lam: Sequence, ctx: SliceContext) -> Vec:
 
 def even_identity_check(ctx: SliceContext) -> bool:
     """For even orbits: delta and half the nonzero-degree negative system
-    agree after restriction to t_Q."""
+    agree after restriction to t_Q; both are sums over root supports."""
     if not ctx.orbit.is_even:
         raise NotEvenOrbit(f"partition {ctx.orbit.partition.parts} is not even")
-    half_nonzero = zero_vec(ctx.g.ambient_dim)
-    for alpha in ctx.negative_system:
-        if vdot(alpha.coords, ctx.orbit.h) != 0:
-            half_nonzero = tuple(a + b for a, b in zip(half_nonzero, alpha.coords))
-    half_nonzero = vscale(Q(1, 2), half_nonzero)
+    half_nonzero = _half_root_sum(ctx, ctx.negative_system, lambda d: int(d != 0))
     return restrict_to_tQ(ctx.delta, ctx) == restrict_to_tQ(half_nonzero, ctx)
 
 
@@ -151,20 +162,16 @@ def principal_in_nu_centralizer(ctx: SliceContext) -> bool:
     components have rank one and the predicted blocks match the partition.
     """
     n = ctx.g.ambient_dim
-    zero_roots = [alpha.coords for alpha in ctx.nu_centralizer_roots()]
+    zero_roots = ctx.nu_centralizer_roots()
     for i, a in enumerate(zero_roots):
         for b in zero_roots[i + 1 :]:
-            if vdot(a, b) != 0:
+            if a.pair(b) != 0:
                 return False  # a component of rank >= 2
     blocks: list[int] = []
     touched: set[int] = set()
     for a in zero_roots:
-        support = [i for i, c in enumerate(a) if c != 0]
-        touched.update(support)
-        if len(support) == 2:
-            blocks.extend([2, 2])
-        else:
-            blocks.append(2)
+        touched.update(i for i, _ in a.support)
+        blocks.extend([2, 2] if len(a.support) == 2 else [2])
     untouched = n - len(touched)
     blocks.extend([1] * (2 * untouched))
     predicted = tuple(sorted(blocks, reverse=True))

@@ -7,10 +7,12 @@ scans, and exact linear algebra on honest matrices for centralizers of
 nilpotents.  None of it shares code paths with the library beyond the basic
 vector helpers, with two exceptions.  The section on library forms keeps
 what the library no longer carries: the dense 0/1 matrix of the slice-torus
-inclusion t_Q -> t with its matrix products, the level-by-level class
-enumerator and the d(psi) search built on it, the checked vector sum `vadd`,
-weight- and root-lattice membership, the trivial class, gauge-blind weight
-equality and the long and short root classes.
+inclusion t_Q -> t with its matrix products, the dense root sums behind
+delta, rho_0 and the even identity, the dense principal-nilpotent test, the
+level-by-level class enumerator and the d(psi) search built on it, the
+checked vector sum `vadd`, `zero_vec`, weight- and root-lattice membership,
+the trivial class, gauge-blind weight equality and the long and short root
+classes.
 The last section keeps two searches the library replaced by closed forms, the
 Dynkin-diagram recognizer of integral subsystems and the support walk behind
 the class certificate, as referees.  They take root systems, partitions and
@@ -42,7 +44,6 @@ from goldiebound.rootsys import (
     vdot,
     vsub,
     weight_str,
-    zero_vec,
 )
 
 Q = Fraction
@@ -264,6 +265,54 @@ def dense_push_nu(nu: tuple, matrix) -> tuple:
     return tuple(sum((row[j] * nu[j] for j in range(len(nu))), Q(0)) for row in matrix)
 
 
+def dense_delta(ctx) -> tuple:
+    """The shift delta, summed root by root over dense coordinates."""
+    half = zero_vec(ctx.g.ambient_dim)
+    whole = zero_vec(ctx.g.ambient_dim)
+    for alpha in ctx.negative_system:
+        degree = vdot(alpha.coords, ctx.orbit.h)
+        if degree == -1:
+            half = tuple(a + b for a, b in zip(half, alpha.coords))
+        elif degree <= -2:
+            whole = tuple(a + b for a, b in zip(whole, alpha.coords))
+    return tuple(a / 2 + b for a, b in zip(half, whole))
+
+
+def dense_rho_zero(ctx) -> tuple:
+    """Half the sum of the positive roots of h-degree zero, over dense coordinates."""
+    total = zero_vec(ctx.g.ambient_dim)
+    for alpha in ctx.g.positive_roots:
+        if vdot(alpha.coords, ctx.orbit.h) == 0:
+            total = tuple(a + b for a, b in zip(total, alpha.coords))
+    return tuple(a / 2 for a in total)
+
+
+def dense_half_nonzero(ctx) -> tuple:
+    """Half the sum of the nu-negative roots of nonzero h-degree, over dense coordinates."""
+    total = zero_vec(ctx.g.ambient_dim)
+    for alpha in ctx.negative_system:
+        if vdot(alpha.coords, ctx.orbit.h) != 0:
+            total = tuple(a + b for a, b in zip(total, alpha.coords))
+    return tuple(a / 2 for a in total)
+
+
+def dense_principal_in_nu_centralizer(ctx) -> bool:
+    """The principal-nilpotent test of `slices`, read off dense root vectors."""
+    zero_roots = [alpha.coords for alpha in ctx.nu_centralizer_roots()]
+    for i, a in enumerate(zero_roots):
+        for b in zero_roots[i + 1 :]:
+            if vdot(a, b) != 0:
+                return False
+    blocks = []
+    touched = set()
+    for a in zero_roots:
+        support = [i for i, c in enumerate(a) if c != 0]
+        touched.update(support)
+        blocks.extend([2, 2] if len(support) == 2 else [2])
+    blocks.extend([1] * (2 * (ctx.g.ambient_dim - len(touched))))
+    return tuple(sorted(blocks, reverse=True)) == ctx.orbit.partition.parts
+
+
 def _level_tuples(total: int, parts: int):
     """Every tuple of ``parts`` non-negative integers summing to ``total``, in
     lexicographic order."""
@@ -273,6 +322,10 @@ def _level_tuples(total: int, parts: int):
     for first in range(total + 1):
         for rest in _level_tuples(total - first, parts - 1):
             yield (first,) + rest
+
+
+def zero_vec(dim: int) -> Vec:
+    return (Q(0),) * dim
 
 
 def vadd(x: Vec, y: Vec) -> Vec:

@@ -130,6 +130,9 @@ def test_weight_may_start_with_a_minus_sign():
         with_dash = run(command, "A2", "-1,-2,-3", "--format", "json")
         assert with_dash.exit_code == 0, with_dash.output
         assert with_dash.output == run(command, "A2", "--format", "json", "--", "-1,-2,-3").output
+    point = run("orbit-size", "B2", "-.5,.5", "--format", "json")  # "-." starts a weight too
+    assert point.exit_code == 0, point.output
+    assert point.output == run("orbit-size", "B2", "--format", "json", "--", "-.5,.5").output
     bounded = run("dpsi", "A2", "--bound", "-1", "-1,0,1")  # the bound, then the weight
     assert bounded.exit_code == 0 and bounded.output == run("dpsi", "A2", "--", "-1,0,1").output
     misspelled = run("dim", "B2", "1,0", "--formt", "json")

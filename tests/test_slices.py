@@ -1,5 +1,6 @@
 """Slice-torus restrictions: delta shifts, the even identity, and verdicts."""
 import itertools
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -19,12 +20,17 @@ from goldiebound import (
     underline_character,
     validate_partition,
 )
-from goldiebound.errors import NonGenericNu, NotDominant
-from goldiebound.rootsys import vdot, vscale
+from goldiebound import slices
+from goldiebound.errors import DimensionMismatch, NonGenericNu, NotDominant
+from goldiebound.rootsys import Root, vdot, vscale
 
 from oracles import (
+    dense_delta,
+    dense_half_nonzero,
+    dense_principal_in_nu_centralizer,
     dense_push_nu,
     dense_restrict,
+    dense_rho_zero,
     dense_tQ_embedding,
     enumerate_dominant_in_class,
     vadd,
@@ -85,6 +91,75 @@ def test_coordinate_map_matches_dense_embedding():
         for alpha in ctx.g.all_roots:
             assert restrict_to_tQ(alpha.coords, ctx) == dense_restrict(alpha.coords, matrix)
             assert (alpha.coords in negative) == (vdot(alpha.coords, nu_t) < 0), alpha
+
+
+def test_slice_context_checks_its_coordinate_map():
+    # slot 1 is not a slot of a one-coordinate nu
+    datum = orbit_datum(validate_partition("sp", (2, 2)))
+    with pytest.raises(DimensionMismatch, match="slot"):
+        SliceContext(build([("C", 2)]), datum, (Q(1),), (0, 1))
+    # one entry short of the three coordinates of C3
+    datum = orbit_datum(validate_partition("sp", (2, 2, 1, 1)))
+    with pytest.raises(DimensionMismatch, match="3 coordinates"):
+        SliceContext(build([("C", 3)]), datum, (Q(2), Q(1)), (0, 1))
+
+
+def _hand_built_contexts():
+    """The scrambled, full-torus and rank-one-torus contexts of the even-identity
+    and principal tests below."""
+    for rank, parts, nu, embedding in (
+        (4, (2,) * 4, (Q(2), Q(1)), (0, 1, 0, 1)),
+        (2, (2, 2), (Q(2), Q(1)), (0, 1)),
+        (3, (2, 2, 1, 1), (Q(1),), (0, None, None)),
+    ):
+        datum = orbit_datum(validate_partition("sp", parts))
+        yield SliceContext(build([("C", rank)]), datum, nu, embedding)
+
+
+def assert_matches_dense_referee(ctx, results):
+    d, r, even, principal = results
+    assert d == dense_delta(ctx), ctx.orbit.partition.parts
+    assert r == dense_rho_zero(ctx), ctx.orbit.partition.parts
+    if ctx.orbit.is_even:
+        restricted = [restrict_to_tQ(f(ctx), ctx) for f in (dense_delta, dense_half_nonzero)]
+        assert even == (restricted[0] == restricted[1]), ctx.orbit.partition.parts
+    assert principal == dense_principal_in_nu_centralizer(ctx), ctx.orbit.partition.parts
+
+
+def _slice_results(ctx):
+    even = even_identity_check(ctx) if ctx.orbit.is_even else None
+    return delta(ctx), rho_zero(ctx), even, principal_in_nu_centralizer(ctx)
+
+
+def test_root_sums_match_dense_referee():
+    # delta, rho_0, the even identity and the principal test sum and pair
+    # through supports; the referee adds dense root vectors
+    for ctx in itertools.chain(_dense_contexts(), _hand_built_contexts()):
+        assert_matches_dense_referee(ctx, _slice_results(ctx))
+
+
+def test_slices_read_no_dense_root_coordinates(monkeypatch):
+    # Structural guard, with no wall clock: code in slices.py reads
+    # Root.coords only to format an error.  Root.negated still reads it from
+    # rootsys.py, which is not counted.
+    field = Root.coords
+    reads = []
+
+    def counted(alpha):
+        caller = sys._getframe(1)
+        if caller.f_code.co_filename == slices.__file__:
+            reads.append(caller.f_lineno)  # the lines of slices.py that read it
+        return field.__get__(alpha)
+
+    monkeypatch.setattr(Root, "coords", property(counted))
+    results = []
+    for parts in ((2,) * 16, (1,) * 16):
+        ctx = slice_context(orbit_datum(validate_partition("sp", parts)))
+        results.append((ctx, _slice_results(ctx)))
+    assert reads == []
+    monkeypatch.undo()
+    for ctx, result in results:
+        assert_matches_dense_referee(ctx, result)
 
 
 # -- restriction goldens ---------------------------------------------------------
